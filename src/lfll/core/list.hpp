@@ -43,15 +43,18 @@
 //     with plain loads, snapshotting each payload seqlock-style, and
 //     validating the whole segment with one incarnation sweep before
 //     any snapshot is surfaced (batch_hop below). Any mismatch discards
-//     the batch and falls back to the per-cell hop.
+//     the batch and falls back to the per-cell hop. Each scan ramps its
+//     segment cap 2, 4, 8, then kScanBatch, so a short scan does not
+//     read far past the cell where its visitor stops.
 //  5. Batched MUTATOR seeks (seek_while / batch_seek_step): the same
-//     superhop drives the dictionaries' ordered seeks. The batch
-//     snapshot hands off into the ordinary referenced cursor at the
-//     landing cell — pre_cell and target are upgraded to counted
-//     references (cached_try_ref) and the WHOLE snapshot is re-swept so
-//     the references provably attached to the nodes the snapshot read —
-//     which keeps the Figs. 9-10 CAS windows reference-held exactly as
-//     if the cursor had walked hand-over-hand.
+//     superhop drives the dictionaries' ordered seeks, with the seek
+//     predicate run on each validated payload copy so the segment ends
+//     AT the landing cell. The batch snapshot hands off into the
+//     ordinary referenced cursor there — pre_cell is upgraded to a
+//     counted reference (cached_try_ref) and the WHOLE snapshot is
+//     re-swept so the reference provably attached to the node the
+//     snapshot read — which keeps the Figs. 9-10 CAS windows
+//     reference-held exactly as if the cursor had walked hand-over-hand.
 //  6. A per-thread SafeRead cache (node_pool): cursor teardown and the
 //     aux-hint demotion DONATE their departing references
 //     (drop_to_cache) instead of releasing them; the next operation's
@@ -304,13 +307,13 @@ public:
     /// the first cell whose payload fails the predicate or at
     /// end-of-list. This is the dictionaries' find loop, lifted into the
     /// list so the counted fast path can cross up to kScanBatch cells
-    /// per RMW (batch_seek_step): the batch snapshot evaluates the
-    /// predicate on validated payload copies, then hands off into the
-    /// ordinary referenced cursor at the landing cell — the caller's
-    /// subsequent try_insert/try_delete see exactly the hand-over-hand
-    /// triple contract. `pred` must be pure (it may run on snapshot
-    /// copies, several cells ahead of the cursor, and more than once per
-    /// cell).
+    /// per RMW (batch_seek_step): the batch evaluates the predicate on
+    /// validated payload copies, ends its segment at the first cell that
+    /// fails it, and hands off into the ordinary referenced cursor at
+    /// that landing cell — the caller's subsequent try_insert/try_delete
+    /// see exactly the hand-over-hand triple contract. `pred` must be
+    /// pure (it may run on snapshot copies, ahead of the cursor, and more
+    /// than once per cell).
     template <typename Pred>
     void seek_while(cursor& c, Pred&& pred) {
         assert(c.list_ == this && c.target_ != nullptr);
@@ -321,6 +324,7 @@ public:
             if (!pred(static_cast<const T&>(c.target_->value()))) return;
             if constexpr (pool_type::counts_traversal && batch_scannable) {
                 if (batch_seek_step(c, pred)) continue;
+                ctr.batch_fallbacks++;
             }
             next(c);
         }
@@ -581,17 +585,21 @@ private:
     template <typename Visit>
     void scan_loop(node* p, Visit&& visit) {
         auto& ctr = instrument::tls();
+        int cap = 2;  // per-scan segment cap: 2, 4, 8, then kScanBatch
         for (;;) {
             node* n = nullptr;
-            // Batched hop: cross up to kScanBatch cells on ONE protect by
+            // Batched hop: cross up to `cap` cells on ONE protect by
             // snapshotting payloads seqlock-style and validating the whole
             // segment with an incarnation sweep. Snapshot cells are visited
             // from the validated copies; the segment's last node arrives
             // protected and is visited below like any single-step arrival.
             if constexpr (pool_type::counts_traversal && batch_scannable) {
                 batch_snapshot s;
-                n = batch_hop(p, s);
-                if (n != nullptr) {
+                n = batch_hop(p, s, cap);
+                cap = cap < kScanBatch ? 2 * cap : kScanBatch;
+                if (n == nullptr) {
+                    ctr.batch_fallbacks++;
+                } else {
                     const auto crossed = static_cast<std::uint64_t>(s.cells) + 1;
                     ctr.traverse_hops += crossed;
                     ctr.traverse_fast_hops += crossed;
@@ -754,16 +762,20 @@ private:
     static constexpr bool batch_scannable =
         std::is_trivially_destructible_v<T> && std::is_trivially_copy_constructible_v<T>;
 
-    /// Cells crossed per protect by the batched hop (scan and seek).
+    /// Most cells one batched hop crosses per protect (scan and seek).
     /// Chosen so the validation arrays stay comfortably on the stack
-    /// while the one RMW amortizes to noise; segments shorter than this
-    /// (tail, aux chain, concurrent restructuring) simply commit a
-    /// shorter batch. Raised from 8 when seeks joined the batch path:
-    /// at 8 the E7 seek row ran ~1.49x epoch, at 16 it runs ~1.35-1.45x
-    /// — the protect amortizes further while the snapshot stays under
-    /// 1 KiB for typical payloads. 32 measured no better (the protect
-    /// is already amortized to noise; the residual is per-cell snapshot
-    /// work), so 16 keeps the stack footprint small.
+    /// while the one RMW amortizes to noise. Raised from 8 when seeks
+    /// joined the batch path (E7 seek row ~1.49x -> ~1.35-1.45x epoch);
+    /// 32 measured no better.
+    ///
+    /// Where a segment ends matters more: each cell it crosses is a
+    /// dependent read of the cell and the aux after it, a cache miss on
+    /// a large store, wanted or not. A seek's predicate is pure, so
+    /// batch_hop runs it on each validated copy and ends the segment AT
+    /// the landing cell. A scan's visitor has side effects and may only
+    /// see copies the sweep validated, so it cannot steer the hop;
+    /// instead each scan ramps its cap 2, 4, 8, then kScanBatch, reading
+    /// at most ~2k cells when it stops at its k-th.
     static constexpr int kScanBatch = 16;
 
     /// One batched-hop attempt: every unreferenced node read through
@@ -798,7 +810,7 @@ private:
     }
 
     /// Generalization of hop_over_aux to a whole segment: from a node the
-    /// caller holds a reference on, cross up to kScanBatch cells with ONE
+    /// caller holds a reference on, cross up to `cap` cells with ONE
     /// protect (on the segment's last link) and zero references on the
     /// nodes between. The walk uses plain loads; soundness comes from the
     /// validation sweep at the end:
@@ -820,12 +832,16 @@ private:
     ///     re-check), so a validated snapshot equals some live value the
     ///     cell held during the walk.
     ///
+    /// A seek passes its predicate as `keep_going`: the segment then
+    /// ends at the first cell whose copy fails it (see kScanBatch).
+    ///
     /// On any mismatch the speculative reference is dropped (blind
     /// net-zero pair: always safe on pool nodes) and nullptr is returned;
     /// the caller falls back to the per-cell hop. Returns the protected
     /// segment-end node (a cell or Last) and fills `s` with the validated
     /// snapshots of the cells crossed before it.
-    node* batch_hop(node* from, batch_snapshot& s) {
+    template <typename Pred = std::nullptr_t>
+    node* batch_hop(node* from, batch_snapshot& s, int cap, Pred&& keep_going = nullptr) {
         node* a;  // the aux whose next is read through next
         if (from->is_aux()) {
             a = from;  // referenced: no incarnation record needed
@@ -837,24 +853,37 @@ private:
         for (;;) {
             node* c = a->next.load(std::memory_order_acquire);
             if (c == nullptr || !c->is_normal()) return nullptr;  // aux chain: fall back
-            if (!c->is_cell() || s.cells == kScanBatch - 1) {
-                // Tail reached or batch full: protect the last link.
+            if (!c->is_cell() || s.cells == cap - 1) {
+                // Tail reached or segment full: protect the last link.
                 return batch_commit(a, s);
             }
             const std::uint64_t ic = c->incarnation.load(std::memory_order_acquire);
             racy_value_copy(s.vals[s.cells], c);
-            // Stamps ride the same validation window as the payload bytes
-            // (construct_cell resets them, never on_reclaim, so they too
-            // mutate only strictly between incarnation bumps). The loads
-            // are acquire on purpose: reading a cell's release-stored
-            // born stamp synchronizes-with the inserter, which makes any
-            // stamp the inserter itself observed (e.g. the dead mark of
-            // the same-key predecessor it positioned behind) visible to
-            // this walk's LATER stamp reads — the alive-first cluster
-            // order then guarantees a snapshot never shows two live
-            // incarnations of one key.
-            s.born[s.cells] = c->born_ts.load(std::memory_order_acquire);
-            s.dead[s.cells] = c->dead_ts.load(std::memory_order_acquire);
+            if constexpr (!std::is_null_pointer_v<std::remove_cvref_t<Pred>>) {
+                // The predicate picks the segment end, so it must see a
+                // value c really held: the per-cell seqlock check (fence,
+                // reload) runs now, not only in the sweep. A failing copy
+                // makes c the landing cell, protected by the commit.
+                testing_hooks::chaos_point(sched::step_kind::batch_seek);
+                std::atomic_thread_fence(std::memory_order_acquire);
+                if (c->incarnation.load(std::memory_order_relaxed) != ic) return nullptr;
+                if (!keep_going(*std::launder(reinterpret_cast<const T*>(s.vals[s.cells])))) {
+                    return batch_commit(a, s);
+                }
+            } else {
+                // Stamps ride the same validation window as the payload
+                // bytes (construct_cell resets them, never on_reclaim, so
+                // they too mutate only strictly between incarnation
+                // bumps). The loads are acquire on purpose: reading a
+                // cell's release-stored born stamp synchronizes-with the
+                // inserter, which makes any stamp the inserter itself
+                // observed (e.g. the dead mark of the same-key predecessor
+                // it positioned behind) visible to this walk's LATER stamp
+                // reads — the alive-first cluster order then guarantees a
+                // snapshot never shows two live incarnations of one key.
+                s.born[s.cells] = c->born_ts.load(std::memory_order_acquire);
+                s.dead[s.cells] = c->dead_ts.load(std::memory_order_acquire);
+            }
             s.record(c, ic);
             node* a2 = c->next.load(std::memory_order_acquire);
             if (a2 == nullptr || !a2->is_aux()) {
@@ -892,20 +921,20 @@ private:
     }
 
     /// One batched mutator-seek step: from the cursor's referenced target
-    /// (a cell), snapshot up to kScanBatch cells ahead (batch_hop), find
-    /// the first whose payload copy fails the predicate, and land the
-    /// cursor there with the referenced-triple contract intact:
+    /// (a cell), cross the cells ahead whose payload copies satisfy the
+    /// predicate (batch_hop ends the segment at the first that fails it),
+    /// and land the cursor there with the referenced-triple contract
+    /// intact:
     ///   pre_cell <- the cell before the landing cell (upgraded to a
     ///               counted reference via cached_try_ref);
     ///   pre_aux  <- the aux between them (unreferenced hint, as always);
-    ///   target   <- the landing cell (upgraded likewise, or the already-
-    ///               protected segment end).
-    /// The upgrade try_refs land on SNAPSHOTTED pointers, so after they
-    /// succeed the ENTIRE snapshot is re-swept: unchanged incarnations
+    ///   target   <- the landing cell, the protected segment end.
+    /// The upgrade try_ref lands on a SNAPSHOTTED pointer, so after it
+    /// succeeds the ENTIRE snapshot is re-swept: unchanged incarnations
     /// prove no snapshotted node was reclaimed since first touch, hence
-    /// the references attached to the nodes the snapshot actually read
-    /// (not same-address recycles) and the landing triple is exactly what
-    /// a hand-over-hand walk would have produced — §5 counts balance
+    /// the reference attached to the node the snapshot actually read
+    /// (not a same-address recycle) and the landing triple is exactly
+    /// what a hand-over-hand walk would have produced — §5 counts balance
     /// because every reference the cursor ends up holding was acquired
     /// through try_ref/protect and every one it gives up goes through
     /// drop_deferred. Any failure undoes the speculative references and
@@ -914,50 +943,40 @@ private:
     bool batch_seek_step(cursor& c, Pred& pred) {
         node* from = c.target_;  // referenced cell (caller checked)
         batch_snapshot s;
-        node* res = batch_hop(from, s);
+        node* res = batch_hop(from, s, kScanBatch, pred);
         if (res == nullptr) return false;
         // With `from` a cell, the snapshot is laid out
         //   src[0]      = the aux after from,
         //   src[2i+1]   = crossed cell i   (payload copy vals[i]),
         //   src[2i+2]   = the aux after it,     for i in [0, s.cells)
         // and res (protected) is the segment-end node after src[nsrc-1].
-        int stop = 0;
-        while (stop < s.cells &&
-               pred(*std::launder(reinterpret_cast<const T*>(s.vals[stop])))) {
-            ++stop;
-        }
+        // Every crossed copy satisfied the predicate.
         auto& ctr = instrument::tls();
-        if (stop == s.cells && res->is_cell() &&
-            pred(static_cast<const T&>(res->value()))) {
-            // Advance-only fast path: every crossed cell AND the live
-            // landing still satisfy the predicate, so the seek continues
-            // from res — no triple handoff yet, hence no extra RMWs
-            // (batch_commit's sweep already validated the segment). The
-            // cursor's pre_cell_ deliberately goes STALE: it keeps its
-            // counted reference (parking a reference only delays
-            // reclamation), and the batch that terminates the seek — or
-            // a fallback next() — re-anchors it before seek_while
-            // returns, so callers never observe the stale triple.
+        const auto span = static_cast<std::uint64_t>(s.cells) + 1;
+        if (res->is_cell() && pred(static_cast<const T&>(res->value()))) {
+            // Advance-only fast path: the segment filled up (or res
+            // changed since its copy) and the live res still satisfies
+            // the predicate, so the seek continues from res — no triple
+            // handoff yet, hence no extra RMWs (batch_commit's sweep
+            // already validated the segment). The cursor's pre_cell_
+            // deliberately goes STALE: it keeps its counted reference
+            // (parking a reference only delays reclamation), and the batch
+            // that terminates the seek — or a fallback next() — re-anchors
+            // it before seek_while returns, so callers never observe the
+            // stale triple.
             pool_->drop_deferred(from);
             c.target_ = res;
-            const auto span = static_cast<std::uint64_t>(s.cells) + 1;
             ctr.traverse_hops += span;
             ctr.traverse_fast_hops += span;
             ctr.cells_traversed += static_cast<std::uint64_t>(s.cells);
             return true;
         }
-        node* pre = stop == 0 ? from : const_cast<node*>(s.src[2 * stop - 1]);
-        node* hint = const_cast<node*>(s.src[2 * stop]);
-        node* tgt = stop == s.cells ? res : const_cast<node*>(s.src[2 * stop + 1]);
+        node* pre = s.cells == 0 ? from : const_cast<node*>(s.src[2 * s.cells - 1]);
+        node* hint = const_cast<node*>(s.src[2 * s.cells]);
         // Landing upgrade. from already carries the cursor's reference and
-        // res the protect's; only interior landings need new ones.
+        // res the protect's; only an interior pre_cell needs a new one.
         testing_hooks::chaos_point(sched::step_kind::batch_seek);
         if (pre != from && !pool_->cached_try_ref(pre)) {
-            pool_->drop(res);
-            return false;
-        }
-        if (tgt != res && !pool_->cached_try_ref(tgt)) {
-            if (pre != from) pool_->unref(pre);
             pool_->drop(res);
             return false;
         }
@@ -969,11 +988,9 @@ private:
         }
         if (!ok) {
             if (pre != from) pool_->unref(pre);
-            if (tgt != res) pool_->unref(tgt);
             pool_->drop(res);
             return false;
         }
-        if (tgt != res) pool_->drop(res);  // segment end overshoots the landing
         pool_->drop_deferred(c.pre_cell_);
         if (pre == from) {
             c.pre_cell_ = from;  // the cursor's target reference transfers
@@ -982,11 +999,10 @@ private:
             pool_->drop_deferred(from);  // the old target reference departs
         }
         c.pre_aux_ = hint;
-        c.target_ = tgt;
-        const auto crossed = static_cast<std::uint64_t>(stop) + 1;
-        ctr.traverse_hops += crossed;
-        ctr.traverse_fast_hops += crossed;
-        ctr.cells_traversed += static_cast<std::uint64_t>(stop);
+        c.target_ = res;
+        ctr.traverse_hops += span;
+        ctr.traverse_fast_hops += span;
+        ctr.cells_traversed += static_cast<std::uint64_t>(s.cells);
         return true;
     }
 

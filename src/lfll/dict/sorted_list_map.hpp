@@ -133,12 +133,21 @@ public:
                              return cmp_(ops[a].key, ops[b].key);
                          });
         cursor c(list_);
+        const Key* erased = nullptr;  // key of the previous sub-op, if it erased
         for (std::uint32_t idx : order) {
             const batch_op<Key, Value>& op = ops[idx];
             // The cursor-resume handoff between sub-ops: a preemption here
             // lets concurrent mutators restructure the neighbourhood the
             // resumed seek starts from.
             testing_hooks::chaos_point(sched::step_kind::batch_drain);
+            // An erase can leave the cursor past a live re-incarnation of
+            // its key (unlink_marked walks the cluster by identity); a
+            // same-key sub-op resuming there would miss it, so it
+            // restarts from First.
+            if (erased != nullptr && !cmp_(*erased, op.key) && !cmp_(op.key, *erased)) {
+                list_.first(c);
+            }
+            erased = nullptr;
             switch (op.kind) {
                 case batch_op_kind::get: {
                     telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
@@ -161,6 +170,7 @@ public:
                     telemetry::prof::op_scope prof_op(telemetry::trace_op::erase,
                                                       telemetry::key_hash(op.key));
                     out[idx].ok = erase_at(c, op.key);
+                    if (out[idx].ok) erased = &op.key;
                     break;
                 }
             }
@@ -311,7 +321,8 @@ private:
     /// Erase protocol body, resuming from `c`. Afterwards the cursor
     /// rests on the tombstoned victim (or past the key's cluster on the
     /// unlink-drift path) — both positions frozen-next-link back into the
-    /// live suffix, so the next sorted sub-op's seek resumes safely.
+    /// live suffix, so the next sorted sub-op's seek resumes safely
+    /// unless it has the same key (apply_batch re-anchors that one).
     bool erase_at(cursor& c, const Key& key) {
         if (!find_from(key, c)) return false;
         node* victim = c.target();

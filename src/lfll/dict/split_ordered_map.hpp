@@ -257,10 +257,18 @@ public:
         const std::size_t m = mask();
         cursor c;
         std::size_t run_bucket = ~std::size_t{0};
+        const Key* erased = nullptr;  // key of the previous sub-op, if it erased
         for (std::uint32_t idx : order) {
             const batch_op<Key, Value>& op = ops[idx];
             testing_hooks::chaos_point(sched::step_kind::batch_drain);
             const std::size_t b = hs[idx] & m;
+            // As in sorted_list_map::apply_batch: an erase can leave the
+            // cursor past a live re-incarnation of its key, so a same-key
+            // sub-op re-anchors at the bucket dummy.
+            if (erased != nullptr && !cmp_(*erased, op.key) && !cmp_(op.key, *erased)) {
+                run_bucket = ~std::size_t{0};
+            }
+            erased = nullptr;
             if (b != run_bucket) {
                 anchor(hs[idx], c);  // new bucket run: jump to its dummy
                 run_bucket = b;
@@ -287,6 +295,7 @@ public:
                     telemetry::prof::op_scope prof_op(telemetry::trace_op::erase,
                                                       telemetry::key_hash(op.key));
                     out[idx].ok = erase_at_so(c, sos[idx], op.key);
+                    if (out[idx].ok) erased = &op.key;
                     break;
                 }
             }

@@ -172,6 +172,7 @@ public:
         m_requests_ = &reg.get_counter("lfll_pipeline_requests_total");
         m_drain_waits_ = &reg.get_counter("lfll_pipeline_drain_waits_total");
         m_inline_drains_ = &reg.get_counter("lfll_pipeline_inline_drains_total");
+        m_complete_sleeps_ = &reg.get_counter("lfll_pipeline_complete_sleeps_total");
         rings_.reserve(shards);
         for (std::size_t s = 0; s < shards; ++s) {
             rings_.push_back(std::make_unique<ring>(cap));
@@ -257,6 +258,7 @@ public:
                 // r could have been submitted with wake=false — without
                 // this nudge nobody would be on the hook for it.
                 if (++lost >= 8) {
+                    m_complete_sleeps_->add(1);
                     rg.pushed.fetch_add(1, std::memory_order_seq_cst);
                     rg.pushed.notify_one();
                     r.wait();
@@ -410,12 +412,16 @@ private:
         if (sc.results.size() < n) sc.results.resize(batch_max_);
         store_->shard_at(si).apply_batch(sc.ops.data(), n, sc.results.data());
         // Completion publish: results move into the caller-owned
-        // slots, then the state flips visible.
+        // slots, then the state flips visible. seq_cst, not release:
+        // notify_one skips the wake when its (seq_cst) waiter-count load
+        // reads zero, and a release store may pass that load, so a
+        // waiter that just registered could read kPending and sleep on a
+        // slot that is already done.
         testing_hooks::chaos_point(sched::step_kind::batch_drain);
         for (std::size_t i = 0; i < n; ++i) {
             sc.reqs[i]->result_ = std::move(sc.results[i]);
             sc.results[i] = {};
-            sc.reqs[i]->state_.store(request::kDone, std::memory_order_release);
+            sc.reqs[i]->state_.store(request::kDone, std::memory_order_seq_cst);
             sc.reqs[i]->state_.notify_one();
         }
         return true;
@@ -478,6 +484,7 @@ private:
     telemetry::counter* m_requests_ = nullptr;
     telemetry::counter* m_drain_waits_ = nullptr;
     telemetry::counter* m_inline_drains_ = nullptr;
+    telemetry::counter* m_complete_sleeps_ = nullptr;
     std::vector<std::unique_ptr<ring>> rings_;
     std::vector<std::thread> executors_;
 };

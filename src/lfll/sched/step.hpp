@@ -34,7 +34,8 @@ enum class step_kind : std::uint8_t {
                      ///< lazy dummy insert, bucket-slot publish)
     sample,          ///< inside the profiler's sampling/arming decision
     slow_capture,    ///< inside the slow-op ring's claim -> publish window
-    batch_seek,      ///< inside the mutator superhop's snapshot -> referenced-
+    batch_seek,      ///< inside the mutator superhop: between a payload copy and
+                     ///< its per-cell re-check, and in the snapshot -> referenced-
                      ///< cursor handoff window (landing try_ref + incarnation sweep)
     safe_read_cache, ///< inside the TLS SafeRead cache's take/donate/evict windows
     version_publish, ///< between a structural win (link/mark CAS) and the

@@ -94,6 +94,8 @@ std::vector<metric_row> registry::snapshot() const {
         {"lfll_op_aux_hops_total", oc.aux_hops},
         {"lfll_op_aux_compactions_total", oc.aux_compactions},
         {"lfll_op_cells_traversed_total", oc.cells_traversed},
+        {"lfll_op_traverse_hops_total", oc.traverse_hops},
+        {"lfll_op_batch_fallbacks_total", oc.batch_fallbacks},
         {"lfll_op_nodes_allocated_total", oc.nodes_allocated},
         {"lfll_op_nodes_reclaimed_total", oc.nodes_reclaimed},
     };

@@ -19,6 +19,7 @@ op_counters& op_counters::operator+=(const op_counters& o) noexcept {
     nodes_reclaimed += o.nodes_reclaimed;
     traverse_hops += o.traverse_hops;
     traverse_fast_hops += o.traverse_fast_hops;
+    batch_fallbacks += o.batch_fallbacks;
     traverse_prefetches += o.traverse_prefetches;
     deferred_releases += o.deferred_releases;
     deferred_flushes += o.deferred_flushes;
@@ -40,6 +41,7 @@ op_counters op_counters_tls::read() const noexcept {
     v.nodes_reclaimed = nodes_reclaimed.load();
     v.traverse_hops = traverse_hops.load();
     v.traverse_fast_hops = traverse_fast_hops.load();
+    v.batch_fallbacks = batch_fallbacks.load();
     v.traverse_prefetches = traverse_prefetches.load();
     v.deferred_releases = deferred_releases.load();
     v.deferred_flushes = deferred_flushes.load();
@@ -60,6 +62,7 @@ void op_counters_tls::clear() noexcept {
     nodes_reclaimed.clear();
     traverse_hops.clear();
     traverse_fast_hops.clear();
+    batch_fallbacks.clear();
     traverse_prefetches.clear();
     deferred_releases.clear();
     deferred_flushes.clear();

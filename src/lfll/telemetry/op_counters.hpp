@@ -61,8 +61,9 @@ struct op_counters {
     std::uint64_t cells_traversed = 0;  ///< normal cells visited by FindFrom
     std::uint64_t nodes_allocated = 0;  ///< pool Alloc calls
     std::uint64_t nodes_reclaimed = 0;  ///< pool Reclaim calls
-    std::uint64_t traverse_hops = 0;       ///< cursor hops (fast or slow)
+    std::uint64_t traverse_hops = 0;       ///< cells (or Last) a hop read, every superhop copy included
     std::uint64_t traverse_fast_hops = 0;  ///< hops that took the elided-aux fast path
+    std::uint64_t batch_fallbacks = 0;     ///< superhops abandoned for the per-cell hop
     std::uint64_t traverse_prefetches = 0; ///< next->next software prefetches issued
     std::uint64_t deferred_releases = 0;   ///< decrements buffered by drop_deferred
     std::uint64_t deferred_flushes = 0;    ///< deferred-release buffer flushes
@@ -86,6 +87,7 @@ struct op_counters_tls {
     owned_counter_cell nodes_reclaimed;
     owned_counter_cell traverse_hops;
     owned_counter_cell traverse_fast_hops;
+    owned_counter_cell batch_fallbacks;
     owned_counter_cell traverse_prefetches;
     owned_counter_cell deferred_releases;
     owned_counter_cell deferred_flushes;

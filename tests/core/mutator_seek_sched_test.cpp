@@ -163,6 +163,81 @@ void run_recycled_cache_hit_window(std::uint64_t seed) {
                       << " — replay with LFLL_SCHED_REPLAY=" << seed;
 }
 
+/// Landing-recycle window: the seek superhop runs the predicate on
+/// each payload copy and ends its segment at the first cell that fails
+/// it, so the copy must be re-validated (per-cell incarnation check)
+/// before that stop decision. The pinned schedules preempt the seeker
+/// between the landing cell's copy and that check while a churner
+/// erases and reinserts exactly the landing keys: with the SafeRead
+/// cache and deferred release off, the erased cell is reclaimed (its
+/// incarnation bumps) and reused at once. The check must reject the
+/// copy and the seek fall back to the per-cell hop; every landing must
+/// still sit past its predecessor's key. These schedules pin the
+/// re-check's failure path, not its necessity: without it the commit
+/// would still catch the recycle, and a torn copy (what the re-check
+/// keeps from the predicate) cannot occur under the serializing
+/// scheduler. Returns the seeker's superhop fallbacks.
+template <typename Policy>
+std::uint64_t run_landing_recycle_window(std::uint64_t seed) {
+    using map_t = sorted_list_map<int, int, std::less<int>, Policy>;
+    pool_config cfg;
+    cfg.initial_capacity = 24;  // erased cells come straight back
+    cfg.saferead_cache = 0;     // a parked reference would pin the cell
+    cfg.deferred_release = 0;   // so would a buffered decrement
+    typename map_t::list_type::pool_type pool(cfg);
+    map_t map(pool);
+    for (int k = 0; k < 8; ++k) map.insert(k, 100 + k);
+    std::uint64_t fallbacks = 0;
+    std::vector<std::function<void()>> bodies;
+    bodies.push_back([&map, &fallbacks] {  // seeker: lands on the churned keys
+        auto& ctr = instrument::tls();
+        const std::uint64_t before = ctr.batch_fallbacks.load();
+        for (int round = 0; round < 4; ++round) {
+            for (int k : {2, 4, 6}) {
+                typename map_t::cursor c(map.list());
+                const bool found = map.find_from(k, c);
+                ASSERT_FALSE(c.at_end());
+                EXPECT_GE((*c).first, k);
+                if (c.pre_cell()->is_cell()) {
+                    EXPECT_LT(c.pre_cell()->value().first, k);
+                }
+                if (found) {
+                    EXPECT_EQ((*c).first, k);
+                    EXPECT_TRUE((*c).second == 100 + k || (*c).second == 110 + k);
+                }
+            }
+        }
+        fallbacks = ctr.batch_fallbacks.load() - before;
+    });
+    bodies.push_back([&map] {  // churner: recycle the landing cells
+        for (int i = 0; i < 6; ++i) {
+            const int k = 2 + 2 * (i % 3);
+            map.erase(k);
+            map.insert(k, 110 + k);
+        }
+    });
+    // PCT with change points packed into the run's first 256 steps:
+    // demoting the seeker inside the copy -> re-check window lets the
+    // churner finish an erase (and its reclaim) before the seeker resumes.
+    sched::options o = pinned(seed);
+    o.change_points = 6;
+    o.change_horizon = 256;
+    sched::run(o, std::move(bodies));
+    if constexpr (map_t::list_type::pool_type::counts_traversal) {
+        EXPECT_GT(sched::scheduler::instance().kind_count(sched::step_kind::batch_seek),
+                  0u)
+            << "seed " << seed;
+    } else {
+        EXPECT_EQ(sched::scheduler::instance().kind_count(sched::step_kind::batch_seek),
+                  0u);
+        EXPECT_EQ(fallbacks, 0u);
+    }
+    auto r = quiesce_and_audit(map);
+    EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
+                      << " — replay with LFLL_SCHED_REPLAY=" << seed;
+    return fallbacks;
+}
+
 TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_Refcount) {
     for (std::uint64_t seed : {3ull, 8ull, 17ull, 29ull, 41ull, 56ull}) {
         run_handoff_window<valois_refcount>(seed);
@@ -178,6 +253,32 @@ TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_Hazard) {
 TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_EpochCompilesOut) {
     for (std::uint64_t seed : {4ull, 9ull}) {
         run_handoff_window<epoch_policy>(seed);
+    }
+}
+
+// The landing-recycle seeds were picked with a probe that counted
+// per-cell re-check failures: in each, the churner recycles a landing
+// cell inside the seeker's copy -> re-check window. The seeker's
+// superhop fallbacks must show it.
+TEST(MutatorSeekSched, PinnedSeed_LandingRecycle_Refcount) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {71ull, 101ull, 129ull, 171ull, 187ull}) {
+        fallbacks += run_landing_recycle_window<valois_refcount>(seed);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule made the seek fall back";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_LandingRecycle_Hazard) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {79ull, 101ull, 115ull, 129ull}) {
+        fallbacks += run_landing_recycle_window<hazard_policy>(seed);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule made the seek fall back";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_LandingRecycle_EpochCompilesOut) {
+    for (std::uint64_t seed : {71ull, 79ull}) {
+        run_landing_recycle_window<epoch_policy>(seed);
     }
 }
 

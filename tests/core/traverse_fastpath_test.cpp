@@ -239,4 +239,52 @@ TEST(TraverseFastPath, PinnedSeed_BatchSweepSurvivesRecycleStorm) {
     }
 }
 
+/// Where a superhop segment ends, read from traverse_hops (every cell a
+/// hop read, each superhop copy and its protected end included). Single
+/// thread, so the counts are exact. A seek's segment ends at its landing
+/// cell: landing on cell k from cell 0 reads exactly k cells past the
+/// start, none past k. A scan ramps its segment cap 2, 4, 8, 16: a
+/// visitor that stops at its k-th cell costs at most 2k + 2 cell reads.
+TEST(TraverseFastPath, SuperhopSegmentEndsWhereTheWalkDoes) {
+    using int_list = lfll::valois_list<int>;
+    constexpr int kCells = 1000;
+    int_list list(kCells + 8);
+    {
+        int_list::cursor c(list);
+        for (int v = kCells - 1; v >= 0; --v) list.insert(c, v);  // front inserts
+    }
+    auto& ctr = lfll::instrument::tls();
+    for (int k : {0, 1, 2, 3, 7, 14, 15, 16, 17, 31, 100, 500, 999}) {
+        int_list::cursor c(list);
+        ASSERT_EQ(*c, 0);
+        const auto hops0 = ctr.traverse_hops.load();
+        list.seek_while(c, [k](const int& v) { return v < k; });
+        ASSERT_FALSE(c.at_end());
+        EXPECT_EQ(*c, k);
+        EXPECT_TRUE(c.valid()) << "k=" << k;
+        EXPECT_EQ(ctr.traverse_hops.load() - hops0, static_cast<std::uint64_t>(k))
+            << "seek landing on cell " << k << " read past it";
+    }
+    for (int k : {1, 2, 3, 4, 7, 8, 15, 16, 30, 31, 100, 999, 1000}) {
+        const auto hops0 = ctr.traverse_hops.load();
+        const auto cells0 = ctr.cells_traversed.load();
+        int seen = 0;
+        list.scan([&seen, k](const int& v) {
+            EXPECT_EQ(v, seen);
+            return ++seen < k;
+        });
+        EXPECT_EQ(seen, k);
+        const auto hops = ctr.traverse_hops.load() - hops0;
+        EXPECT_EQ(ctr.cells_traversed.load() - cells0, static_cast<std::uint64_t>(k));
+        EXPECT_LE(hops, 2u * static_cast<std::uint64_t>(k) + 2u)
+            << "scan stopping at cell " << k << " read " << hops << " cells";
+    }
+    // A full scan reads each cell once, plus the hop onto Last.
+    const auto hops0 = ctr.traverse_hops.load();
+    list.scan([](const int&) { return true; });
+    EXPECT_EQ(ctr.traverse_hops.load() - hops0, static_cast<std::uint64_t>(kCells) + 1);
+    auto r = lfll::audit_list(list);
+    EXPECT_TRUE(r.ok) << r.error;
+}
+
 }  // namespace

@@ -183,4 +183,56 @@ TEST(Pipeline, ConcurrentMixedClientsStayLinearizablePerKey) {
         << "won inserts minus won erases must equal the live count";
 }
 
+TEST(Pipeline, CompleteFallbackWaitIsAlwaysWoken) {
+    // Drives complete() into its futex fallback: the executor holds the
+    // drain flag through an under-full batch's coalescing wait, so a
+    // helping client loses the flag race eight times and sleeps in
+    // r.wait() until that drainer publishes kDone. A lost wake-up there
+    // hangs the test (it carries a ctest TIMEOUT). The ring holds every
+    // client's whole window, so no-wake submits never block on it.
+    constexpr int kPipelines = 25;
+    constexpr int kClients = 4;
+    constexpr int kWindow = 4;
+    constexpr int kRounds = 4000;
+    sorted_store store = make_store(1);
+    for (int k = 0; k < 64; ++k) store.insert(k, 300 + k);
+    pipeline_config cfg;
+    cfg.ring_capacity = kClients * kWindow;
+    cfg.batch_max = 8;
+    cfg.batch_wait_us = 20;
+    auto& sleeps = telemetry::registry::global().get_counter(
+        "lfll_pipeline_complete_sleeps_total");
+    const std::uint64_t sleeps_before = sleeps.value();
+    using pipe_t = request_pipeline<sorted_store>;
+    for (int p = 0; p < kPipelines; ++p) {
+        pipe_t pipe(store, cfg);
+        std::atomic<int> wrong{0};
+        std::vector<std::thread> clients;
+        for (int t = 0; t < kClients; ++t) {
+            clients.emplace_back([&pipe, &wrong, t] {
+                std::vector<pipe_t::request> slots(kWindow);
+                for (int round = 0; round < kRounds; ++round) {
+                    for (int w = 0; w < kWindow; ++w) {
+                        const int k = (t * kWindow + w + round) % 64;
+                        pipe.submit(slots[w], batch_op_kind::get, k, 0, /*wake=*/false);
+                    }
+                    for (int w = 0; w < kWindow; ++w) {
+                        pipe.complete(slots[w]);
+                        const int k = (t * kWindow + w + round) % 64;
+                        if (slots[w].result().value != std::optional<int>(300 + k)) {
+                            wrong.fetch_add(1);
+                        }
+                    }
+                }
+            });
+        }
+        for (auto& c : clients) c.join();
+        ASSERT_EQ(wrong.load(), 0) << "pipeline " << p;
+        ASSERT_EQ(pipe.requests_completed(),
+                  static_cast<std::uint64_t>(kClients) * kWindow * kRounds);
+    }
+    EXPECT_GT(sleeps.value() - sleeps_before, 0u)
+        << "no complete() reached the futex fallback";
+}
+
 }  // namespace
