@@ -22,8 +22,9 @@
 //
 // A literal Fig. 5-7 hop under §5 counting costs ~6 RMWs: SafeRead the
 // aux (2), SafeRead the next cell (2), Release the old pre_cell and
-// pre_aux (2). The fast path cuts the steady state to ~1 critical RMW
-// per hop with three mechanisms (see DESIGN.md "Traversal fast path"):
+// pre_aux (2). The fast path cuts that per hop, and per segment of up
+// to kScanBatch cells, with these mechanisms (see DESIGN.md "Traversal
+// fast path"):
 //
 //  1. Aux reference elision. The cursor's pre_aux is demoted to an
 //     UNREFERENCED hint under every policy: hops read the aux through
@@ -34,8 +35,7 @@
 //     only decides fast-commit vs slow-path.
 //  2. Hand-over-hand reference transfer. next() re-uses the target's
 //     existing reference as the new pre_cell reference instead of the
-//     copy+drop pair, and the old pre_cell's decrement is batched via
-//     node_pool::drop_deferred.
+//     copy+drop pair.
 //  3. Software prefetch of the hop-after-next while the current hop's
 //     validation retires.
 //  4. Batched scan hops (trivially-copyable payloads only): scan()
@@ -62,6 +62,10 @@
 //     the landing upgrade) go through cached_copy/cached_protect/
 //     cached_try_ref, which transfer a parked reference back for zero
 //     RMWs when the hot cell repeats.
+//  7. Read-only landing (lookup_from): a point lookup's superhop ends
+//     at its landing cell like a seek's but takes no reference there;
+//     from a borrowed start, a lookup landing inside its first segment
+//     does no RMW at all.
 //
 // Mutators never trust the hint: try_insert/try_delete re-pin the
 // CURRENT aux via cached_protect(pre_cell->next) — the swing's
@@ -79,6 +83,7 @@
 #include <utility>
 
 #include "lfll/core/node.hpp"
+#include "lfll/core/rq.hpp"
 #include "lfll/memory/node_pool.hpp"
 #include "lfll/memory/policy.hpp"
 #include "lfll/primitives/instrument.hpp"
@@ -277,7 +282,7 @@ public:
     /// Fig. 7: advances c one position. Returns false at end-of-list.
     /// Steady state under a counting policy is the fast path: one
     /// protect (on the next cell), the aux elided, the old pre_cell's
-    /// decrement deferred — ~1 critical RMW instead of the literal ~6.
+    /// reference released — ~2 RMWs instead of the literal ~6.
     bool next(cursor& c) {
         assert(c.list_ == this && c.target_ != nullptr);
         if (c.target_->is_tail()) return false;
@@ -287,7 +292,7 @@ public:
             node* aux = nullptr;
             if (node* n = hop_over_aux(c.target_, aux)) {
                 ctr.traverse_fast_hops++;
-                pool_->drop_deferred(c.pre_cell_);
+                pool_->drop(c.pre_cell_);
                 c.pre_cell_ = c.target_;  // hand-over-hand: the reference transfers
                 c.pre_aux_ = aux;
                 c.target_ = n;
@@ -296,7 +301,7 @@ public:
         }
         // Slow path (and the whole path under epochs, where protects are
         // plain loads): step onto the target and re-derive the position.
-        pool_->drop_deferred(c.pre_cell_);
+        pool_->drop(c.pre_cell_);
         c.pre_cell_ = c.target_;  // the target reference transfers too
         c.target_ = nullptr;
         reposition(c);
@@ -526,23 +531,21 @@ public:
     }
 
     /// Lightweight read-only traversal: visits each cell's payload in
-    /// list order until `visit` returns false. Holds one traversal
-    /// reference at a time (the minimum for safety) instead of a full
-    /// cursor triple — use it for pure lookups; use cursors when the
-    /// position will be mutated. Under counting policies the steady
-    /// state is the cell-to-cell fast hop (one protect per cell, aux
-    /// elided, departures batched through drop_deferred); under epochs
-    /// every step is already a plain load. Fully concurrent-safe.
+    /// list order until `visit` returns false. Holds at most one traversal
+    /// reference at a time instead of a full cursor triple — use it for
+    /// read-only walks; use cursors when the position will be mutated.
+    /// Under counting policies the steady state is the batched superhop
+    /// (one protect per segment), with the cell-to-cell fast hop as its
+    /// fallback; under epochs every step is already a plain load. Fully
+    /// concurrent-safe.
     template <typename Visit>
     void scan(Visit&& visit) {
-        guard g = pool_->make_guard();
-        scan_loop(pool_->protect(head_->next),  // first aux: never null
-                  std::forward<Visit>(visit));
+        scan_from(head_, std::forward<Visit>(visit));  // root pointer: never changes
     }
 
     /// Stamped scan for the snapshot/range-query layer: identical
-    /// traversal engine (superhop, SafeRead cache, aux elision), but the
-    /// visitor receives each cell's version stamps alongside the payload:
+    /// traversal engine (superhop, aux elision), but the visitor receives
+    /// each cell's version stamps alongside the payload:
     ///   visit(const T&, uint64_t born_ts, uint64_t dead_ts) -> bool
     /// Batched segments surface the stamps captured inside the same
     /// incarnation-validated window as the payload copy, so a validated
@@ -559,17 +562,32 @@ public:
         scan_from(start, std::forward<Visit>(visit));
     }
 
-    /// As scan(), but starting immediately AFTER `start`, which must be a
-    /// normal cell the caller keeps provably live for the duration (a
-    /// counted link it owns — e.g. a hash bucket's dummy-cell anchor).
-    /// `start` itself is not visited. The split-ordered hash map uses this
-    /// to begin lookups at a bucket shortcut instead of First, keeping the
-    /// batched-superhop fast path for intra-bucket hops.
+    /// As scan(), but starting immediately AFTER `start`, which the caller
+    /// keeps provably live for the duration (a root pointer, or a counted
+    /// link or reference it owns — e.g. a hash bucket's dummy-cell
+    /// anchor). `start` is BORROWED: the walk takes no reference on it,
+    /// and it is not visited. The split-ordered hash map uses this to
+    /// begin walks at a bucket shortcut instead of First.
     template <typename Visit>
     void scan_from(node* start, Visit&& visit) {
         assert(start != nullptr && start->is_normal());
         guard g = pool_->make_guard();
-        scan_loop(pool_->copy(start), std::forward<Visit>(visit));
+        walk(start, std::forward<Visit>(visit));
+    }
+
+    /// Read-only point lookup from `start` (borrowed, as in scan_from):
+    /// walks while the pure `keep_going(value)` holds and calls
+    ///   land(const T&, uint64_t born_ts, uint64_t dead_ts)
+    /// once, on the first cell that fails it (never at Last). A landing
+    /// inside a superhop segment takes NO counted reference: `land` sees
+    /// the validated copy (batch_hop's read-only landing). A live landing
+    /// cell still at born == 0 (an insert in flight) is stamped from
+    /// clock() first, on a reference taken for just that (core/rq.hpp).
+    template <typename Pred, typename Land, typename Clock>
+    void lookup_from(node* start, Pred&& keep_going, Land&& land, Clock&& clock) {
+        assert(start != nullptr && start->is_normal());
+        guard g = pool_->make_guard();
+        walk(start, std::forward<Land>(land), keep_going, clock);
     }
 
 private:
@@ -579,46 +597,67 @@ private:
     static constexpr bool stamped_visitor =
         std::is_invocable_v<Visit&, const T&, std::uint64_t, std::uint64_t>;
 
-    /// Shared body of scan()/scan_from(): `p` arrives carrying one
-    /// traversal reference (under counting policies) and the caller's
-    /// guard spans the call.
     template <typename Visit>
-    void scan_loop(node* p, Visit&& visit) {
+    static bool visit_cell(Visit& visit, const T& v, std::uint64_t born, std::uint64_t dead) {
+        if constexpr (stamped_visitor<Visit>) {
+            return visit(v, born, dead);
+        } else {
+            return visit(v);
+        }
+    }
+
+    /// The read-only walker behind scan_from() and lookup_from(). `start`
+    /// is borrowed and the caller's guard spans the call; later positions
+    /// hold one traversal reference, a read-only landing none. A scan
+    /// visits cells until `visit` returns false; a lookup's `keep_going`
+    /// steers the superhop and `visit` (its `land`) sees only the landing.
+    template <typename Visit, typename Pred = std::nullptr_t, typename Clock = std::nullptr_t>
+    void walk(node* start, Visit&& visit, Pred&& keep_going = nullptr,
+              Clock&& clock = nullptr) {
+        constexpr bool lookup = !std::is_null_pointer_v<std::remove_cvref_t<Pred>>;
         auto& ctr = instrument::tls();
-        int cap = 2;  // per-scan segment cap: 2, 4, 8, then kScanBatch
+        node* p = start;
+        node* held = nullptr;  // p, once a hop has landed a reference on it
+        int cap = lookup ? kScanBatch : 2;  // a scan ramps 2, 4, 8, then kScanBatch
         for (;;) {
             node* n = nullptr;
-            // Batched hop: cross up to `cap` cells on ONE protect by
-            // snapshotting payloads seqlock-style and validating the whole
-            // segment with an incarnation sweep. Snapshot cells are visited
-            // from the validated copies; the segment's last node arrives
-            // protected and is visited below like any single-step arrival.
+            // Batched hop: cross up to `cap` cells on at most ONE protect
+            // by snapshotting payloads seqlock-style and validating the
+            // whole segment with an incarnation sweep. Crossed cells are
+            // visited from the validated copies; a protected segment end
+            // is visited below like any single-step arrival.
             if constexpr (pool_type::counts_traversal && batch_scannable) {
                 batch_snapshot s;
-                n = batch_hop(p, s, cap);
+                n = batch_hop<lookup>(p, s, cap, keep_going);
                 cap = cap < kScanBatch ? 2 * cap : kScanBatch;
-                if (n == nullptr) {
-                    ctr.batch_fallbacks++;
-                } else {
+                bool done = false;
+                if (n != nullptr) {
                     const auto crossed = static_cast<std::uint64_t>(s.cells) + 1;
                     ctr.traverse_hops += crossed;
                     ctr.traverse_fast_hops += crossed;
-                    pool_->drop_deferred(p);
-                    for (int i = 0; i < s.cells; ++i) {
-                        ctr.cells_traversed++;
-                        const T& v = *std::launder(reinterpret_cast<const T*>(s.vals[i]));
-                        bool keep;
-                        if constexpr (stamped_visitor<Visit>) {
-                            keep = visit(v, s.born[i], s.dead[i]);
-                        } else {
-                            keep = visit(v);
+                    if constexpr (lookup) {
+                        ctr.cells_traversed += static_cast<std::uint64_t>(s.cells);
+                        if (s.landed) {
+                            done = n == tail_;
+                            if (!done && land_read_only(n, s, visit, clock)) {
+                                ctr.cells_traversed++;
+                                done = true;
+                            }
+                            if (!done) n = nullptr;  // recycled before it was stamped
                         }
-                        if (!keep) {
-                            pool_->drop(n);
-                            return;
+                    } else {
+                        for (int i = 0; i < s.cells && !done; ++i) {
+                            ctr.cells_traversed++;
+                            done = !visit_cell(visit, s.value(i), s.born[i], s.dead[i]);
                         }
+                        if (done) pool_->drop(n);
                     }
                 }
+                if (done) {
+                    pool_->drop(held);
+                    return;
+                }
+                if (n == nullptr) ctr.batch_fallbacks++;
             }
             if (n == nullptr) {
                 ctr.traverse_hops++;
@@ -630,32 +669,35 @@ private:
                     }
                 }
                 if (n == nullptr) n = pool_->protect(p->next);  // single step
-                pool_->drop_deferred(p);
             }
+            pool_->drop(held);
+            held = p = n;
             if (n == nullptr || n->is_tail()) {
                 pool_->drop(n);
                 return;
             }
-            if (n->is_cell()) {
-                ctr.cells_traversed++;
-                bool keep;
-                if constexpr (stamped_visitor<Visit>) {
-                    // n is protected: direct stamp reads are reads of live
-                    // memory, no seqlock dance needed.
-                    keep = visit(static_cast<const T&>(n->value()),
-                                 n->born_ts.load(std::memory_order_acquire),
-                                 n->dead_ts.load(std::memory_order_acquire));
-                } else {
-                    keep = visit(static_cast<const T&>(n->value()));
-                }
-                if (!keep) {
-                    pool_->drop(n);
-                    return;
-                }
-            } else {
+            if (!n->is_cell()) {
                 ctr.aux_hops++;
+                continue;
             }
-            p = n;
+            ctr.cells_traversed++;
+            const T& v = n->value();
+            if constexpr (lookup) {
+                if (keep_going(v)) continue;
+            }
+            // n is protected: its stamps are reads of live memory, no
+            // seqlock dance needed.
+            std::uint64_t born = n->born_ts.load(std::memory_order_acquire);
+            const std::uint64_t dead = n->dead_ts.load(std::memory_order_acquire);
+            if constexpr (lookup) {
+                if (born == 0 && dead == rq::kInfTs) born = rq::stamp_born(n->born_ts, clock());
+                visit(v, born, dead);
+                pool_->drop(n);
+                return;
+            } else if (!visit_cell(visit, v, born, dead)) {
+                pool_->drop(n);
+                return;
+            }
         }
     }
 
@@ -788,15 +830,22 @@ private:
         int nsrc = 0;
         alignas(T) unsigned char vals[kScanBatch][sizeof(T)];
         /// Version stamps captured inside the same incarnation window as
-        /// the payload copy (snapshot/range-query layer).
+        /// the payload copy (snapshot/range-query layer, lookups).
         std::uint64_t born[kScanBatch];
         std::uint64_t dead[kScanBatch];
         int cells = 0;
+        /// Set by a read-only landing: the segment end holds no reference,
+        /// and vals[cells] (with its stamps) is the landing cell's copy.
+        bool landed = false;
 
         void record(const node* n, std::uint64_t i) noexcept {
             src[nsrc] = n;
             inc[nsrc] = i;
             ++nsrc;
+        }
+
+        const T& value(int i) const noexcept {
+            return *std::launder(reinterpret_cast<const T*>(vals[i]));
         }
     };
 
@@ -809,66 +858,100 @@ private:
         ::new (static_cast<void*>(dst)) T(*reinterpret_cast<const T*>(src->storage));
     }
 
+    /// First touch of `n`, just loaded from `link`: its incarnation, then
+    /// the link re-read. Finding n still there ties the incarnation to the
+    /// node the link named (hop_over_aux's sandwich, per link); otherwise
+    /// a node unlinked and recycled between the two loads would pass the
+    /// sweep at its NEW incarnation, and the walk go on from its reuse.
+    static bool touch(const std::atomic<node*>& link, const node* n,
+                      std::uint64_t& inc) noexcept {
+        inc = n->incarnation.load(std::memory_order_acquire);
+        return link.load(std::memory_order_acquire) == n;
+    }
+
+    /// Every recorded node still at its first-touch incarnation. Callers
+    /// fence (acquire) first.
+    static bool sweep(const batch_snapshot& s) noexcept {
+        for (int i = 0; i < s.nsrc; ++i) {
+            if (s.src[i]->incarnation.load(std::memory_order_relaxed) != s.inc[i]) return false;
+        }
+        return true;
+    }
+
     /// Generalization of hop_over_aux to a whole segment: from a node the
-    /// caller holds a reference on, cross up to `cap` cells with ONE
-    /// protect (on the segment's last link) and zero references on the
-    /// nodes between. The walk uses plain loads; soundness comes from the
-    /// validation sweep at the end:
+    /// caller keeps live (a reference, or a borrowed start), cross up to
+    /// `cap` cells with at most ONE protect (on the segment's last link)
+    /// and zero references on the nodes between. The walk uses plain
+    /// loads; soundness comes from the validation at the end:
     ///
-    ///   * `from` is referenced, so the first link read is current.
+    ///   * `from` is live, so the first link read is current.
     ///   * Every node read through is recorded with its incarnation at
-    ///     first touch. An unchanged incarnation at the sweep proves the
-    ///     node was not reclaimed across the window, hence (a) every read
-    ///     of its fields was a read of unreclaimed memory, and (b) its
-    ///     outgoing link still held the link's counted reference at the
-    ///     instant that link was read (links are released only inside
-    ///     reclaim — node.hpp drop_links), so the successor was alive at
-    ///     that instant. Induction down the chain carries liveness from
-    ///     `from` to the final link, and the protect's own post-RMW
-    ///     revalidation then lands the counted reference exactly as in
-    ///     hop_over_aux.
+    ///     first touch, tied to the link that named it (touch). An
+    ///     unchanged incarnation at the sweep proves the node was not
+    ///     reclaimed across the window, hence (a) every read of its
+    ///     fields was a read of unreclaimed memory, and (b) its outgoing
+    ///     link held the link's counted reference at the instant of the
+    ///     re-read, so the successor was alive then. Induction down the
+    ///     chain carries liveness from `from` to the final link, and the
+    ///     protect's own post-RMW revalidation then lands the counted
+    ///     reference exactly as in hop_over_aux.
     ///   * Payload bytes are copied inside each cell's incarnation window
     ///     (seqlock reader: incarnation load, copy, acquire fence, sweep
     ///     re-check), so a validated snapshot equals some live value the
     ///     cell held during the walk.
     ///
     /// A seek passes its predicate as `keep_going`: the segment then
-    /// ends at the first cell whose copy fails it (see kScanBatch).
+    /// ends at the first cell whose copy fails it (see kScanBatch). With
+    /// `ReadOnly` (lookups) that landing, or Last, takes no protect:
+    /// batch_close seals it, and the landing copy is the result.
     ///
     /// On any mismatch the speculative reference is dropped (blind
     /// net-zero pair: always safe on pool nodes) and nullptr is returned;
-    /// the caller falls back to the per-cell hop. Returns the protected
-    /// segment-end node (a cell or Last) and fills `s` with the validated
-    /// snapshots of the cells crossed before it.
-    template <typename Pred = std::nullptr_t>
+    /// the caller falls back to the per-cell hop. Otherwise returns the
+    /// segment-end node (a cell or Last; protected unless s.landed) and
+    /// fills `s` with the validated snapshots of the cells crossed.
+    template <bool ReadOnly = false, typename Pred = std::nullptr_t>
     node* batch_hop(node* from, batch_snapshot& s, int cap, Pred&& keep_going = nullptr) {
+        constexpr bool seek = !std::is_null_pointer_v<std::remove_cvref_t<Pred>>;
+        static_assert(seek || !ReadOnly, "a read-only landing is picked by a predicate");
         node* a;  // the aux whose next is read through next
         if (from->is_aux()) {
-            a = from;  // referenced: no incarnation record needed
+            a = from;  // live: no incarnation record needed
         } else {
             a = from->next.load(std::memory_order_acquire);
-            if (a == nullptr || !a->is_aux()) return nullptr;
-            s.record(a, a->incarnation.load(std::memory_order_acquire));
+            std::uint64_t ia;
+            if (a == nullptr || !a->is_aux() || !touch(from->next, a, ia)) return nullptr;
+            s.record(a, ia);
         }
         for (;;) {
             node* c = a->next.load(std::memory_order_acquire);
             if (c == nullptr || !c->is_normal()) return nullptr;  // aux chain: fall back
-            if (!c->is_cell() || s.cells == cap - 1) {
-                // Tail reached or segment full: protect the last link.
+            if (!c->is_cell()) {  // Last
+                if constexpr (ReadOnly) return c == tail_ ? batch_close(c, s) : nullptr;
                 return batch_commit(a, s);
             }
-            const std::uint64_t ic = c->incarnation.load(std::memory_order_acquire);
+            if (s.cells == cap - 1) return batch_commit(a, s);  // segment full
+            // link load -> incarnation load: touch's re-read window
+            if constexpr (seek) testing_hooks::chaos_point(sched::step_kind::batch_seek);
+            std::uint64_t ic;
+            if (!touch(a->next, c, ic)) return nullptr;
             racy_value_copy(s.vals[s.cells], c);
-            if constexpr (!std::is_null_pointer_v<std::remove_cvref_t<Pred>>) {
+            if constexpr (seek) {
                 // The predicate picks the segment end, so it must see a
                 // value c really held: the per-cell seqlock check (fence,
                 // reload) runs now, not only in the sweep. A failing copy
-                // makes c the landing cell, protected by the commit.
+                // makes c the landing cell.
                 testing_hooks::chaos_point(sched::step_kind::batch_seek);
                 std::atomic_thread_fence(std::memory_order_acquire);
                 if (c->incarnation.load(std::memory_order_relaxed) != ic) return nullptr;
-                if (!keep_going(*std::launder(reinterpret_cast<const T*>(s.vals[s.cells])))) {
-                    return batch_commit(a, s);
+                if (!keep_going(s.value(s.cells))) {
+                    if constexpr (ReadOnly) {  // stamps ride c's window
+                        s.born[s.cells] = c->born_ts.load(std::memory_order_acquire);
+                        s.dead[s.cells] = c->dead_ts.load(std::memory_order_acquire);
+                        s.record(c, ic);
+                        return batch_close(c, s);
+                    }
+                    return batch_commit(a, s);  // c arrives protected
                 }
             } else {
                 // Stamps ride the same validation window as the payload
@@ -893,8 +976,10 @@ private:
                 --s.nsrc;
                 return batch_commit(a, s);
             }
+            std::uint64_t ia;
+            if (!touch(c->next, a2, ia)) return nullptr;
             ++s.cells;
-            s.record(a2, a2->incarnation.load(std::memory_order_acquire));
+            s.record(a2, ia);
             a = a2;
         }
     }
@@ -908,16 +993,48 @@ private:
         testing_hooks::chaos_point(sched::step_kind::ref_transfer);
         node* res = pool_->protect(a->next);
         std::atomic_thread_fence(std::memory_order_acquire);
-        bool ok = res != nullptr && res->is_normal();
-        for (int i = 0; ok && i < s.nsrc; ++i) {
-            ok = s.src[i]->incarnation.load(std::memory_order_relaxed) == s.inc[i];
-        }
-        if (!ok) {
+        if (res == nullptr || !res->is_normal() || !sweep(s)) {
             pool_->drop(res);
             s.cells = 0;
             return nullptr;
         }
         return res;
+    }
+
+    /// A read-only landing: the fence and sweep alone seal the segment
+    /// (the landing cell is recorded too, so its copy and stamps are a
+    /// snapshot of a cell the walk reached). Returns `land`, unreferenced.
+    node* batch_close(node* land, batch_snapshot& s) {
+        testing_hooks::chaos_point(sched::step_kind::batch_seek);  // copy -> sweep
+        std::atomic_thread_fence(std::memory_order_acquire);
+        if (!sweep(s)) {
+            s.cells = 0;
+            return nullptr;
+        }
+        s.landed = true;
+        return land;
+    }
+
+    /// Hands `land` the read-only landing's copy and stamps. A live copy
+    /// at born == 0 first gets n stamped, on a reference proven (try_ref
+    /// plus incarnation re-check, as in batch_seek_step) to sit on the
+    /// copied incarnation; false, with nothing called, if n was recycled.
+    template <typename Land, typename Clock>
+    bool land_read_only(node* n, const batch_snapshot& s, Land& land, Clock& clock) {
+        std::uint64_t born = s.born[s.cells];
+        const std::uint64_t dead = s.dead[s.cells];
+        if (born == 0 && dead == rq::kInfTs) {
+            testing_hooks::chaos_point(sched::step_kind::batch_seek);
+            if (!pool_->try_ref(n)) return false;
+            if (n->incarnation.load(std::memory_order_acquire) != s.inc[s.nsrc - 1]) {
+                pool_->unref(n);  // full unref: the node may be dying
+                return false;
+            }
+            born = rq::stamp_born(n->born_ts, clock());
+            pool_->unref(n);
+        }
+        land(s.value(s.cells), born, dead);
+        return true;
     }
 
     /// One batched mutator-seek step: from the cursor's referenced target
@@ -936,9 +1053,9 @@ private:
     /// (not a same-address recycle) and the landing triple is exactly
     /// what a hand-over-hand walk would have produced — §5 counts balance
     /// because every reference the cursor ends up holding was acquired
-    /// through try_ref/protect and every one it gives up goes through
-    /// drop_deferred. Any failure undoes the speculative references and
-    /// returns false; the caller falls back to the per-cell hop.
+    /// through try_ref/protect and every one it gives up is dropped. Any
+    /// failure undoes the speculative references and returns false; the
+    /// caller falls back to the per-cell hop.
     template <typename Pred>
     bool batch_seek_step(cursor& c, Pred& pred) {
         node* from = c.target_;  // referenced cell (caller checked)
@@ -964,7 +1081,7 @@ private:
             // that terminates the seek — or a fallback next() — re-anchors
             // it before seek_while returns, so callers never observe the
             // stale triple.
-            pool_->drop_deferred(from);
+            pool_->drop(from);
             c.target_ = res;
             ctr.traverse_hops += span;
             ctr.traverse_fast_hops += span;
@@ -982,21 +1099,17 @@ private:
         }
         testing_hooks::chaos_point(sched::step_kind::batch_seek);
         std::atomic_thread_fence(std::memory_order_acquire);
-        bool ok = true;
-        for (int i = 0; ok && i < s.nsrc; ++i) {
-            ok = s.src[i]->incarnation.load(std::memory_order_relaxed) == s.inc[i];
-        }
-        if (!ok) {
+        if (!sweep(s)) {
             if (pre != from) pool_->unref(pre);
             pool_->drop(res);
             return false;
         }
-        pool_->drop_deferred(c.pre_cell_);
+        pool_->drop(c.pre_cell_);
         if (pre == from) {
             c.pre_cell_ = from;  // the cursor's target reference transfers
         } else {
             c.pre_cell_ = pre;
-            pool_->drop_deferred(from);  // the old target reference departs
+            pool_->drop(from);  // the old target reference departs
         }
         c.pre_aux_ = hint;
         c.target_ = res;

@@ -9,7 +9,13 @@
 // exclude — both choices are linearizable while the insert's
 // [link CAS, stamp] window is open, and an external happens-before edge
 // into the reader forces the stamped value to be visible, so exclusion
-// is always safe). An erase linearizes at `dead_ts.CAS(inf -> D)`.
+// is always safe). Point operations cannot exclude that way: a find
+// that reports a linked, unstamped cell present would contradict a range
+// query drawn after it that still reads 0. So a point read, a failing
+// insert or an erase that meets an equal live cell at born_ts == 0 first
+// stamps it itself (stamp_born: CAS 0 -> now, first stamp wins; the
+// inserter's own stamp is the same CAS). An erase linearizes at
+// `dead_ts.CAS(inf -> D)`.
 //
 // The registry closes the one hole a plain stamped walk has: a cell that
 // is marked dead *and physically unlinked* before the walk reaches its
@@ -45,6 +51,19 @@ namespace lfll::rq {
 
 /// dead_ts value of a live cell; born/dead stamps never reach it.
 inline constexpr std::uint64_t kInfTs = ~std::uint64_t{0};
+
+/// Stamps born_ts 0 -> now unless it already carries a stamp; returns
+/// the stamp it ends up with. Run by the inserter after its link CAS and
+/// by any point operation that meets the linked cell still at 0, so the
+/// stamp lands inside the insert's own window.
+inline std::uint64_t stamp_born(std::atomic<std::uint64_t>& born, std::uint64_t now) noexcept {
+    std::uint64_t seen = 0;
+    if (born.compare_exchange_strong(seen, now, std::memory_order_seq_cst,
+                                     std::memory_order_acquire)) {
+        return now;
+    }
+    return seen;
+}
 
 /// LFLL_RQ_SLOTS clamps the number of concurrent-range-query slots
 /// (1..64). Queries beyond the clamp spin-wait for a slot; hand-off cost
@@ -84,6 +103,21 @@ public:
 
     /// Timestamps are drawn from 1; 0 is reserved for "unstamped".
     std::uint64_t now() const noexcept { return counter_.load(std::memory_order_seq_cst); }
+
+    /// stamp_born against this container's clock.
+    std::uint64_t stamp(std::atomic<std::uint64_t>& born) const noexcept {
+        return stamp_born(born, now());
+    }
+
+    /// A point operation's verdict on the equal-key cell it holds a
+    /// reference on: live unless tombstoned, and a live cell still at
+    /// born == 0 is stamped first (see the header comment).
+    template <typename Cell>
+    bool live(Cell* n) const noexcept {
+        if (n->dead_ts.load(std::memory_order_acquire) != kInfTs) return false;
+        if (n->born_ts.load(std::memory_order_acquire) == 0) stamp(n->born_ts);
+        return true;
+    }
 
     struct ticket {
         int slot;

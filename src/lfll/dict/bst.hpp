@@ -111,7 +111,7 @@ public:
             tree_node* parent_aux = nullptr;
             tree_node* found = search(key, &leaf, &parent_aux);
             if (found != nullptr) {
-                if (found->dead_ts.load(std::memory_order_acquire) == rq::kInfTs) {
+                if (rq_.live(found)) {
                     pool_.drop(found);
                     pool_.drop(parent_aux);
                     return false;  // live instance present
@@ -140,7 +140,7 @@ public:
                 }
                 testing_hooks::chaos_point(sched::step_kind::version_publish);
                 if (swing(parent_aux->next, found, q)) {
-                    q->born_ts.store(rq_.now(), std::memory_order_release);
+                    rq_.stamp(q->born_ts);
                     testing_hooks::chaos_point(sched::step_kind::version_publish);
                     pool_.drop(found);
                     pool_.drop(parent_aux);
@@ -162,8 +162,8 @@ public:
             q->right.store(pool_.alloc(), std::memory_order_relaxed);
             if (swing(leaf->next, nullptr, q)) {
                 // Version-stamp AFTER the winning swing (see core/rq.hpp:
-                // readers exclude born == 0 while the window is open).
-                q->born_ts.store(rq_.now(), std::memory_order_release);
+                // range queries exclude born == 0 while the window is open).
+                rq_.stamp(q->born_ts);
                 testing_hooks::chaos_point(sched::step_kind::version_publish);
                 pool_.drop(leaf);
                 pool_.unref(q);
@@ -183,6 +183,7 @@ public:
         guard g = pool_.make_guard();
         tree_node* found = search(key, nullptr);
         if (found == nullptr) return false;
+        (void)rq_.live(found);  // stamps an in-flight insert before marking it
         const std::uint64_t d = rq_.now();
         testing_hooks::chaos_point(sched::step_kind::version_publish);
         std::uint64_t expected = rq::kInfTs;
@@ -197,7 +198,7 @@ public:
         guard g = pool_.make_guard();
         tree_node* found = search(key, nullptr);
         if (found == nullptr) return false;
-        const bool live = found->dead_ts.load(std::memory_order_acquire) == rq::kInfTs;
+        const bool live = rq_.live(found);
         pool_.drop(found);
         return live;
     }
@@ -227,7 +228,7 @@ public:
                 return false;
             }
             if (n->is_aux()) {  // shunt chain from an earlier splice
-                pool_.drop_deferred(parent_aux);
+                pool_.drop(parent_aux);
                 parent_aux = n;
                 continue;
             }
@@ -237,8 +238,8 @@ public:
             }
             tree_node* child =
                 cmp_(key, n->key()) ? pool_.protect(n->next) : pool_.protect(n->right);
-            pool_.drop_deferred(parent_aux);
-            pool_.drop_deferred(n);
+            pool_.drop(parent_aux);
+            pool_.drop(n);
             parent_aux = child;
         }
 
@@ -368,7 +369,7 @@ private:
             }
             if (n->is_aux()) {  // splice shunt chain: follow it
                 ctr.aux_hops++;
-                pool_.drop_deferred(a);
+                pool_.drop(a);
                 a = n;
                 continue;
             }
@@ -377,7 +378,7 @@ private:
                 if (out_parent != nullptr) {
                     *out_parent = a;
                 } else {
-                    pool_.drop_deferred(a);
+                    pool_.drop(a);
                 }
                 return n;
             }
@@ -391,8 +392,8 @@ private:
                     ctr.traverse_prefetches++;
                 }
             }
-            pool_.drop_deferred(a);
-            pool_.drop_deferred(n);
+            pool_.drop(a);
+            pool_.drop(n);
             a = child;
         }
     }
@@ -404,12 +405,12 @@ private:
         for (;;) {
             tree_node* n = pool_.protect(a->next);
             if (n == nullptr) return a;
-            pool_.drop_deferred(a);
+            pool_.drop(a);
             if (n->is_aux()) {
                 a = n;
             } else {
                 a = pool_.protect(n->next);  // descend left
-                pool_.drop_deferred(n);
+                pool_.drop(n);
             }
         }
     }
@@ -486,7 +487,7 @@ private:
                     std::vector<Key>& out) {
         while (p != nullptr && p->is_aux()) {  // shunt chains too
             tree_node* n = pool_.protect(p->next);
-            pool_.drop_deferred(p);
+            pool_.drop(p);
             p = n;
         }
         if (p == nullptr) return;
@@ -502,7 +503,7 @@ private:
         if (hi == nullptr || cmp_(k, *hi)) {  // right subtree may hold < hi
             visit_node(pool_.protect(p->right), lo, hi, t, out);
         }
-        pool_.drop_deferred(p);
+        pool_.drop(p);
     }
 
     void validate(tree_node* n, const Key*& prev, std::string& err, int depth) {

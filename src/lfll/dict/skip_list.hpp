@@ -86,7 +86,7 @@ public:
                 // Version-stamp AFTER the winning swing (see
                 // sorted_list_map). Only level 0 carries stamps:
                 // accelerator entries are not membership.
-                q->born_ts.store(rq_.now(), std::memory_order_release);
+                rq_.stamp(q->born_ts);
                 testing_hooks::chaos_point(sched::step_kind::version_publish);
                 won = true;
                 break;
@@ -226,8 +226,7 @@ private:
             ctr.cells_traversed++;
             if (!cmp_(k, key) && !cmp_(key, k)) {
                 if (lvl > 0) return true;  // accelerators carry no stamps
-                return c.target()->dead_ts.load(std::memory_order_acquire) ==
-                       rq::kInfTs;
+                return rq_.live(c.target());  // stamps a live match still at born == 0
             }
             if (cmp_(key, k)) return false;
             levels_[lvl]->next(c);

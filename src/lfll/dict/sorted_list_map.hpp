@@ -15,8 +15,11 @@
 // snapshot():
 //
 //   * insert stamps born_ts = now() *after* the winning Fig. 9 swing;
-//     readers treat a zero stamp as "insert in flight" and exclude it
-//     (always linearizable: the insert's [CAS, stamp] window is open).
+//     range queries treat a zero stamp as "insert in flight" and exclude
+//     it (always linearizable: the insert's [CAS, stamp] window is open).
+//     Point operations that meet an equal live cell still at zero stamp
+//     it themselves first (rq::stamp_born), so a find never reports a key
+//     a later range query would miss.
 //   * erase LINEARIZES at dead_ts.CAS(inf -> D) — the tombstone mark —
 //     then hands the victim's closed interval to in-flight range queries
 //     (rq::registry) and only then physically unlinks via Fig. 10. A
@@ -67,8 +70,7 @@ public:
 
     /// Shared/configured-pool constructor (mirrors valois_list's): the
     /// caller owns the pool and may tune it via pool_config — tests pin
-    /// the SafeRead-cache and deferred-release knobs this way. The pool
-    /// must outlive the map.
+    /// the SafeRead-cache knobs this way. The pool must outlive the map.
     explicit sorted_list_map(typename list_type::pool_type& shared_pool,
                              Compare cmp = Compare{})
         : list_(shared_pool), cmp_(cmp) {}
@@ -82,7 +84,8 @@ public:
     /// leaves c on the live match, or returns false with c on the first
     /// cell whose key is >= key (or at end-of-list) — the insertion
     /// position. A tombstoned (marked-dead) first match reports absent:
-    /// by the cluster order a live incarnation would precede it.
+    /// by the cluster order a live incarnation would precede it. A live
+    /// match still unstamped is stamped first (see the header comment).
     bool find_from(const Key& key, cursor& c) {
         // Keep going while the cell's key sorts before ours. seek_while
         // rides the batched mutator superhop (predicate evaluated on
@@ -92,7 +95,7 @@ public:
             c, [this, &key](const value_type& kv) { return cmp_(kv.first, key); });
         if (c.at_end()) return false;
         if (cmp_(key, (*c).first)) return false;  // strictly greater: absent
-        return c.target()->dead_ts.load(std::memory_order_acquire) == rq::kInfTs;
+        return rq_.live(c.target());
     }
 
     /// Fig. 12 (Insert): adds key -> value; returns false if the key is
@@ -188,23 +191,23 @@ public:
         return batch_detail::multi_erase(*this, keys);
     }
 
-    /// Dictionary Find: copies out the mapped value if present. The copy
-    /// is safe even against a concurrent delete — cell persistence (§2.2)
-    /// keeps the payload intact while our reference pins it. Uses the
-    /// light scan (one reference at a time) rather than a full cursor:
-    /// lookups never mutate, so the cursor triple would be wasted RMWs.
+    /// Dictionary Find: copies out the mapped value if present. Rides the
+    /// list's read-only lookup from First: the first cell with k >= key
+    /// decides (cluster order: a live incarnation comes first), read from
+    /// a validated copy — no reference taken — or, off the fast path,
+    /// from a referenced cell that cell persistence (§2.2) keeps intact
+    /// against a concurrent delete.
     std::optional<Value> find(const Key& key) {
         LFLL_TRACE_SPAN(telemetry::trace_op::find, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
                                           telemetry::key_hash(key));
         std::optional<Value> out;
-        list_.scan([&](const value_type& v, std::uint64_t /*born*/, std::uint64_t dead) {
-            if (cmp_(v.first, key)) return true;  // keep walking
-            if (!cmp_(key, v.first) && dead == rq::kInfTs) {
-                out.emplace(v.second);  // equal and live: found
-            }
-            return false;  // >= key: stop (cluster order: live comes first)
-        });
+        list_.lookup_from(
+            list_.head(), [this, &key](const value_type& kv) { return cmp_(kv.first, key); },
+            [&](const value_type& v, std::uint64_t /*born*/, std::uint64_t dead) {
+                if (!cmp_(key, v.first) && dead == rq::kInfTs) out.emplace(v.second);
+            },
+            [this] { return rq_.now(); });
         return out;
     }
 
@@ -304,7 +307,7 @@ private:
                 // is what lets readers treat born <= t as "linked before
                 // my linearization point". Until the stamp lands the
                 // cell reads as "insert in flight" to range queries.
-                q->born_ts.store(rq_.now(), std::memory_order_release);
+                rq_.stamp(q->born_ts);
                 testing_hooks::chaos_point(sched::step_kind::version_publish);
                 list_.release_node(a);
                 list_.land_on_inserted(c, q);

@@ -19,7 +19,7 @@
 //                via a plain lock-free list insert, recursing to the
 //                parent bucket (index with the top set bit cleared);
 //   * lookup   = start the list walk at the bucket's dummy instead of
-//                First (valois_list::seek / scan_from), so chains stay
+//                First (valois_list::seek / lookup_from), so chains stay
 //                O(load factor) while correctness never depends on the
 //                shortcut: every anchor's split-order key precedes its
 //                bucket's entries in the SAME sorted list a from-head
@@ -313,9 +313,10 @@ public:
         return batch_detail::multi_erase(*this, keys);
     }
 
-    /// Copies out the mapped value if present, via the light scan rooted
-    /// at the bucket dummy (one traversal reference at a time; batched
-    /// superhop for trivially-copyable entries).
+    /// Copies out the mapped value if present, via the list's read-only
+    /// lookup from the bucket dummy — borrowed, since the directory slot
+    /// pins it — so a lookup that lands inside its first superhop segment
+    /// takes no counted reference at all (trivially-copyable entries).
     std::optional<Value> find(const Key& key) {
         LFLL_TRACE_SPAN(telemetry::trace_op::find, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
@@ -323,16 +324,16 @@ public:
         const std::uint64_t h = hash_of(key);
         const std::uint64_t so = so_detail::so_regular(h);
         std::optional<Value> out;
-        list_.scan_from(bucket_node(h & mask()),
-                        [&](const entry& e, std::uint64_t /*born*/, std::uint64_t dead) {
-            if (e.so < so) return true;                       // keep walking
-            if (e.so > so) return false;                      // past it: stop
-            if (cmp_(e.key, key)) return true;                // colliding hash, smaller key
-            if (!cmp_(key, e.key) && dead == rq::kInfTs) {
-                out.emplace(e.value);                         // equal and live: found
-            }
-            return false;  // cluster order: live incarnation comes first
-        });
+        list_.lookup_from(
+            bucket_node(h & mask()),
+            [this, so, &key](const entry& e) {  // colliding hashes tie-break by key
+                return e.so != so ? e.so < so : cmp_(e.key, key);
+            },
+            [&](const entry& e, std::uint64_t /*born*/, std::uint64_t dead) {
+                // Cluster order: a live incarnation comes first.
+                if (e.so == so && !cmp_(key, e.key) && dead == rq::kInfTs) out.emplace(e.value);
+            },
+            [this] { return rq_.now(); });
         return out;
     }
 
@@ -481,6 +482,7 @@ private:
         const bool ok = list_.try_insert(c, q, a);  // empty list: cannot fail
         assert(ok);
         (void)ok;
+        rq_.stamp(q->born_ts);  // see init_bucket
         list_.release_node(a);
         // q's alloc reference becomes slot 0's long-held reference.
         slot_for(0).store(q, std::memory_order_release);
@@ -533,6 +535,10 @@ private:
             }
             testing_hooks::chaos_point(sched::step_kind::resize);  // dummy insert
             if (list_.try_insert(c, q, a)) {
+                // Stamped like any insert: a lookup landing on a linked
+                // cell still at born == 0 stops to stamp it, and dummies
+                // are where bucket walks end.
+                rq_.stamp(q->born_ts);
                 list_.release_node(a);
                 d = q;  // alloc reference becomes the slot's
                 dummies_.fetch_add(1, std::memory_order_relaxed);
@@ -556,7 +562,7 @@ private:
     /// Positions c on the first entry of `h`'s bucket (or later).
     void anchor(std::uint64_t h, cursor& c) { list_.seek(c, bucket_node(h & mask())); }
 
-    /// find_from in split order: scan forward for (so, key). Returns true
+    /// find_from in split order: seek forward for (so, key). Returns true
     /// with c on the live match, else false with c on the first entry
     /// sorting after it (the insertion position). Dummy targets (so even)
     /// match on so alone — dummies are never tombstoned; regular targets
@@ -579,7 +585,7 @@ private:
         if (e.so != so) return false;
         if (so_detail::is_dummy_key(so)) return true;
         if (cmp_(key, e.key) || cmp_(e.key, key)) return false;  // different key
-        return c.target()->dead_ts.load(std::memory_order_acquire) == rq::kInfTs;
+        return rq_.live(c.target());  // stamps a live match still at born == 0
     }
 
     /// Insert protocol body, resuming the seek from wherever `c` stands
@@ -606,7 +612,7 @@ private:
             if (list_.try_insert(c, q, a)) {
                 // Version-stamp AFTER the winning swing (see
                 // sorted_list_map: zero reads as "insert in flight").
-                q->born_ts.store(rq_.now(), std::memory_order_release);
+                rq_.stamp(q->born_ts);
                 testing_hooks::chaos_point(sched::step_kind::version_publish);
                 list_.release_node(a);
                 list_.land_on_inserted(c, q);

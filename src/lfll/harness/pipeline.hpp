@@ -26,9 +26,9 @@
 //   * shard routing — computed at submit; the executor never re-hashes;
 //   * traversal — the drain is a key-sorted cursor-resume pass, so k
 //     requests cost one walk instead of k cold seeks (dict/batch.hpp);
-//   * per-op TLS/profiler/deferred-release bookkeeping — the executor
-//     thread is persistent, so its SafeRead cache, magazines, and
-//     deferred-release buffers stay hot across the whole batch.
+//   * per-op TLS/profiler bookkeeping — the executor thread is
+//     persistent, so its SafeRead cache and magazines stay hot across
+//     the whole batch.
 //
 // Queueing discipline: rings are MPSC (Vyukov sequence slots); the
 // consumer side is serialized by the `draining` flag (executor and

@@ -96,26 +96,6 @@
 //    mag_rounds pool ops). Magazines, like slabs, are never freed while
 //    the pool lives, so a stale depot pointer is always dereferenceable.
 //
-// --- Deferred-release batching (traversal fast path) --------------------
-//
-// Traversal hops under counting policies pay one Release per node left
-// behind. drop_deferred() batches those decrements: the pointer is
-// appended to a per-thread buffer (riding in the same registry record as
-// the magazine cache) and the real unref runs at flush. A buffered
-// decrement keeps the count elevated, so deferral can only DELAY
-// reclamation, never enable an early free — safety is by construction.
-// The costs are bounded: at most `release_backlog` nodes per thread
-// linger unreclaimed, and flushes run at the backlog cap, at thread
-// exit, at pool destruction, before alloc grows the arena (so a tiny
-// pool under pressure reclaims its own backlog instead of growing), and
-// at every quiescent audit/drain boundary (audit.hpp flushes first, so
-// the §5 count audits stay exact).
-//
-// Toggle: LFLL_DEFERRED_RELEASE CMake option (compile default), env var
-// (process), set_deferred_release_override() (A/B sweeps), and
-// pool_config::deferred_release per pool; LFLL_RELEASE_BACKLOG sets the
-// per-thread cap (default 64).
-//
 // --- Per-thread SafeRead cache (traversal fast path, counting policies) --
 //
 // Repeat visits to hot nodes — the list head, a hash bucket's dummy, the
@@ -140,12 +120,11 @@
 //    refct_unclaim_to_one, and the refct RMW chain release-sequences the
 //    bump to us). Cost equals a plain ref — the hint never loses.
 //
-// Safety mirrors the deferred-release buffer: a parked reference only
-// DELAYS reclamation (never enables an early free), capacity bounds how
-// many nodes per thread linger, and every quiescent boundary that
-// flushes deferred buffers (audits, thread exit, pool teardown, alloc
-// pressure) also releases the cached references, so §5 count audits stay
-// exact. Capacity evictions release through the deferred-release buffer.
+// A parked reference only DELAYS reclamation (never enables an early
+// free), capacity bounds how many nodes per thread linger, and every
+// quiescent boundary (audits, thread exit, pool teardown, alloc
+// pressure) releases the cached references, so §5 count audits stay
+// exact. Capacity evictions release the victim's reference at once.
 //
 // Toggle: LFLL_SAFEREAD_CACHE CMake option / env var /
 // set_saferead_cache_override() / pool_config::saferead_cache;
@@ -221,57 +200,6 @@ inline bool magazine_default() noexcept {
 }
 
 namespace detail {
-/// Process-wide deferred-release override, mirroring the magazine one.
-inline std::atomic<int>& deferred_release_override_flag() noexcept {
-    static std::atomic<int> v{-1};
-    return v;
-}
-}  // namespace detail
-
-/// Forces the deferred-release default for subsequently constructed pools
-/// (0 = off, 1 = on, -1 = back to the build/env default). Benches use
-/// this for in-process A/B sweeps; existing pools are unaffected.
-inline void set_deferred_release_override(int v) noexcept {
-    detail::deferred_release_override_flag().store(v < 0 ? -1 : (v != 0),
-                                                   std::memory_order_relaxed);
-}
-
-/// Default for pool_config::deferred_release: the LFLL_DEFERRED_RELEASE
-/// CMake option (compile-time), overridden by the LFLL_DEFERRED_RELEASE
-/// env var (0/1), and then by set_deferred_release_override().
-inline bool deferred_release_default() noexcept {
-    const int o =
-        detail::deferred_release_override_flag().load(std::memory_order_relaxed);
-    if (o >= 0) return o != 0;
-    static const bool env_default = [] {
-#if defined(LFLL_DEFERRED_RELEASE) && LFLL_DEFERRED_RELEASE == 0
-        bool on = false;
-#else
-        bool on = true;
-#endif
-        const char* e = std::getenv("LFLL_DEFERRED_RELEASE");
-        if (e != nullptr && e[0] != '\0') on = !(e[0] == '0' || e[0] == 'n' || e[0] == 'N');
-        return on;
-    }();
-    return env_default;
-}
-
-/// Default for pool_config::release_backlog: 64 buffered decrements per
-/// thread, overridden by the LFLL_RELEASE_BACKLOG env var.
-inline std::size_t release_backlog_default() noexcept {
-    static const std::size_t v = [] {
-        std::size_t n = 64;
-        const char* e = std::getenv("LFLL_RELEASE_BACKLOG");
-        if (e != nullptr && e[0] != '\0') {
-            const long parsed = std::strtol(e, nullptr, 10);
-            if (parsed > 0) n = static_cast<std::size_t>(parsed);
-        }
-        return n;
-    }();
-    return v;
-}
-
-namespace detail {
 /// Process-wide SafeRead-cache override, mirroring the magazine one.
 inline std::atomic<int>& saferead_cache_override_flag() noexcept {
     static std::atomic<int> v{-1};
@@ -339,12 +267,6 @@ struct pool_config {
     /// Node pointers per magazine; 0 = auto (scaled to initial_capacity,
     /// clamped to [8, 64] so small per-bucket pools keep small caches).
     std::size_t mag_rounds = 0;
-    /// -1 = deferred_release_default(), 0 = off, 1 = on. Only counting
-    /// policies buffer; under epochs drop() is free and this is ignored.
-    int deferred_release = -1;
-    /// Buffered decrements per thread before a forced flush; 0 = auto
-    /// (release_backlog_default(), normally 64).
-    std::size_t release_backlog = 0;
     /// -1 = saferead_cache_default(), 0 = off, 1 = on. Only counting
     /// policies (and nodes with an incarnation word) cache; elsewhere the
     /// cached_* entry points degrade to their plain counterparts.
@@ -367,7 +289,7 @@ public:
 
     /// Whether traversal references hit the count word under this policy.
     /// Clients gate the counted-traversal fast paths (hand-over-hand ref
-    /// transfer, deferred release) on this: under epochs drop()/copy()
+    /// transfer, the SafeRead cache) on this: under epochs drop()/copy()
     /// are free and the fast path would be a pessimization.
     static constexpr bool counts_traversal = Policy::counted_traversal;
 
@@ -382,11 +304,6 @@ public:
           mag_rounds_(cfg.mag_rounds != 0
                           ? cfg.mag_rounds
                           : std::clamp<std::size_t>(cfg.initial_capacity / 4, 8, 64)),
-          dr_on_(policy_counts_traversal &&
-                 (cfg.deferred_release < 0 ? deferred_release_default()
-                                           : cfg.deferred_release != 0)),
-          dr_backlog_(cfg.release_backlog != 0 ? cfg.release_backlog
-                                               : release_backlog_default()),
           sr_on_(sr_cacheable && (cfg.saferead_cache < 0
                                       ? saferead_cache_default()
                                       : cfg.saferead_cache != 0)),
@@ -407,8 +324,6 @@ public:
         g_mag_misses_ = &reg.get_counter("lfll_pool_magazine_misses_total", label);
         g_mag_flushes_ = &reg.get_counter("lfll_pool_magazine_flushes_total", label);
         g_mag_depot_ = &reg.get_gauge("lfll_pool_magazine_depot_full", label);
-        g_dr_releases_ = &reg.get_counter("lfll_deferred_releases_total", label);
-        g_dr_flushes_ = &reg.get_counter("lfll_deferred_release_flushes_total", label);
         g_sr_hits_ = &reg.get_counter("lfll_saferead_cache_hits_total", label);
         g_sr_misses_ = &reg.get_counter("lfll_saferead_cache_misses_total", label);
         g_sr_evictions_ = &reg.get_counter("lfll_saferead_cache_evictions_total", label);
@@ -419,9 +334,9 @@ public:
     /// Flushes anything the policy still has banked back onto the free
     /// list (the reclaim callback touches pool internals, so this must
     /// complete before members die; domain_ is declared last and thus
-    /// destroyed first as a backstop). Deferred-release buffers flush
-    /// FIRST: a buffered decrement holds the count up, so the retire it
-    /// would trigger hasn't happened yet and the drain would miss it.
+    /// destroyed first as a backstop). Parked SafeRead-cache references
+    /// flush FIRST: a parked reference holds the count up, so the retire
+    /// it would trigger hasn't happened yet and the drain would miss it.
     /// Magazines are flushed after the drain (the drain may land nodes in
     /// this thread's magazines) and their registry records detached so
     /// exiting threads skip the dead pool.
@@ -450,7 +365,7 @@ public:
     Node* alloc() {
         instrument::tls().nodes_allocated++;
         // Sampled-op attribution: everything below — magazine hit or
-        // miss, free-list pop, deferred flush, grow — is alloc time.
+        // miss, free-list pop, cache flush, grow — is alloc time.
         telemetry::prof::phase_scope prof_phase(telemetry::prof::phase::alloc);
         for (;;) {
             if (mag_on_) {
@@ -460,16 +375,14 @@ public:
             }
             Node* q = free_list_read(free_head_);
             if (q == nullptr) {
-                // A deferred-release backlog (or a parked SafeRead-cache
-                // reference) can hold the only free nodes of a tiny pool
-                // captive; flush our own buffers before touching the
-                // arena.
-                if constexpr (policy_counts_traversal) {
+                // Parked SafeRead-cache references can hold the only free
+                // nodes of a tiny pool captive; release our own before
+                // touching the arena.
+                if constexpr (sr_cacheable) {
                     mag_cache* c = this_thread_cache();
-                    if (c->dcount > 0 || c->sr_live > 0) {
+                    if (c->sr_live > 0) {
                         testing_hooks::chaos_point(sched::step_kind::flush);
                         flush_scache(*c);
-                        flush_deferred(*c);
                         continue;
                     }
                 }
@@ -581,34 +494,6 @@ public:
         }
     }
 
-    /// Drops a traversal reference, batching the decrement into this
-    /// thread's deferred-release buffer when batching is on. The buffered
-    /// entry IS the reference until flush, so deferral can only delay
-    /// reclamation, never cause an early free; the backlog cap bounds how
-    /// many nodes per thread linger. Traversal fast paths use this for
-    /// the node they just hopped off.
-    void drop_deferred(Node* p) {
-        if constexpr (policy_counts_traversal) {
-            if (p == nullptr) return;
-            if (!dr_on_) {
-                unref(p);
-                return;
-            }
-            mag_cache* c = this_thread_cache();
-            if (c->dbuf == nullptr) c->dbuf = std::make_unique<Node*[]>(dr_backlog_);
-            testing_hooks::chaos_point(sched::step_kind::deferred_release);
-            c->dbuf[c->dcount++] = p;
-            instrument::tls().deferred_releases++;
-            if (c->dcount >= dr_backlog_) {
-                telemetry::prof::phase_scope prof_phase(telemetry::prof::phase::reclaim);
-                testing_hooks::chaos_point(sched::step_kind::flush);
-                flush_deferred(*c);
-            }
-        } else {
-            (void)p;
-        }
-    }
-
     // --- per-thread SafeRead cache (traversal fast path) -------------------
 
     /// As copy(), but a cache hit transfers a parked reference instead of
@@ -655,13 +540,12 @@ public:
     }
 
     /// Drops a traversal reference by donating it to this thread's
-    /// SafeRead cache (falling back to drop_deferred when caching is off,
-    /// the node already has a parked reference, or eviction declines).
-    /// Like a buffered decrement, a parked reference can only DELAY
-    /// reclamation; capacity evictions release through the deferred-
-    /// release buffer. Traversal code calls this for op-boundary anchors
-    /// (cursor teardown, aux-hint demotion) — the nodes the next
-    /// operation is likeliest to revisit.
+    /// SafeRead cache (falling back to drop() when caching is off or the
+    /// node already has a parked reference). A parked reference can only
+    /// DELAY reclamation; capacity evictions release theirs at once.
+    /// Traversal code calls this for op-boundary anchors (cursor
+    /// teardown, aux-hint demotion) — the nodes the next operation is
+    /// likeliest to revisit.
     void drop_to_cache(Node* p) {
         if constexpr (sr_cacheable) {
             if (p == nullptr) return;
@@ -670,7 +554,7 @@ public:
                 if (sr_donate(*c, p)) return;  // the reference parks
             }
         }
-        drop_deferred(p);  // cache off / declined; no-op under epochs
+        drop(p);  // cache off / declined; no-op under epochs
     }
 
     /// Whether cached_*/drop_to_cache actually cache on this pool.
@@ -707,39 +591,26 @@ public:
         return out;
     }
 
-    /// Quiescent: releases every parked reference in THIS thread's cache
-    /// (entries decay to hints). Audits flush all threads via
-    /// flush_all_deferred_releases().
-    void flush_saferead_cache() {
+    /// Releases this thread's parked SafeRead-cache references (the real
+    /// decrements, which may cascade reclamation); entries decay to hints.
+    /// Audits flush all threads via flush_all_deferred_releases().
+    void flush_deferred_releases() {
         if constexpr (sr_cacheable) {
             mag_cache* c = this_thread_cache();
-            flush_scache(*c);
-        }
-    }
-
-    /// Flushes this thread's parked SafeRead-cache references and its
-    /// deferred-release buffer (runs the real decrements, which may
-    /// cascade reclamation). Both are the same thing to a caller waiting
-    /// on reclamation: decrements this thread still owes.
-    void flush_deferred_releases() {
-        if constexpr (policy_counts_traversal) {
-            mag_cache* c = this_thread_cache();
-            if (c->dcount > 0 || c->sr_live > 0) {
+            if (c->sr_live > 0) {
                 telemetry::prof::phase_scope prof_phase(telemetry::prof::phase::reclaim);
                 testing_hooks::chaos_point(sched::step_kind::flush);
                 flush_scache(*c);
-                flush_deferred(*c);
             }
         }
     }
 
-    /// Quiescent: flushes EVERY thread's deferred-release buffer and
-    /// SafeRead cache. Audits and the destructor run this so buffered
-    /// decrements and parked references cannot mask a leak or block
-    /// retirement. Only meaningful while no other thread is mutating the
-    /// pool.
+    /// Quiescent: releases EVERY thread's parked SafeRead-cache
+    /// references. Audits and the destructor run this so parked
+    /// references cannot mask a leak or block retirement. Only meaningful
+    /// while no other thread is mutating the pool.
     void flush_all_deferred_releases() {
-        if constexpr (policy_counts_traversal) {
+        if constexpr (sr_cacheable) {
             // Materialize this thread's record BEFORE locking: a flush
             // cascade can reach mag_free -> this_thread_cache, which must
             // not take the registry mutex we hold (it is not recursive).
@@ -747,23 +618,7 @@ public:
             std::lock_guard lk(registry_mutex());
             for (mag_cache* c = cache_records_; c != nullptr; c = c->next_record) {
                 flush_scache(*c);
-                flush_deferred(*c);
             }
-        }
-    }
-
-    /// Whether drop_deferred() actually buffers on this pool.
-    bool deferred_release_enabled() const noexcept { return dr_on_; }
-
-    /// Per-thread buffered-decrement cap.
-    std::size_t release_backlog_cap() const noexcept { return dr_backlog_; }
-
-    /// This thread's currently buffered decrement count (test hook).
-    std::size_t deferred_release_pending() {
-        if constexpr (policy_counts_traversal) {
-            return this_thread_cache()->dcount;
-        } else {
-            return 0;
         }
     }
 
@@ -848,12 +703,11 @@ public:
         // registry mutex on a record miss.
         (void)this_thread_cache();
         std::lock_guard lk(registry_mutex());
-        // Parked references and deferred buffers first, in a separate
-        // pass: their cascades can land nodes in this thread's magazines,
-        // which the second pass then flushes regardless of record order.
+        // Parked references first, in a separate pass: their cascades can
+        // land nodes in this thread's magazines, which the second pass
+        // then flushes regardless of record order.
         for (mag_cache* c = cache_records_; c != nullptr; c = c->next_record) {
             flush_scache(*c);
-            flush_deferred(*c);
         }
         for (mag_cache* c = cache_records_; c != nullptr; c = c->next_record) {
             flush_cache(*c);
@@ -947,10 +801,6 @@ private:
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t flushes = 0;
-        /// Deferred-release buffer: each entry holds one counted reference
-        /// whose decrement is pending. Lazily sized to the backlog cap.
-        std::unique_ptr<Node*[]> dbuf;
-        std::uint32_t dcount = 0;
         /// SafeRead cache: 2-way set-associative table of recently visited
         /// nodes (see the header comment). Lazily sized to 2 * sr_sets_.
         /// sr_hits/misses/evictions are cumulative (the per-thread test
@@ -1205,29 +1055,13 @@ private:
         for (std::size_t i = 0; i < n; ++i) f(*mag_at(static_cast<std::int32_t>(i)));
     }
 
-    /// Runs a buffer's pending decrements. No chaos point here: callers
-    /// under registry_mutex() must not yield to a serialized sched
-    /// session (the hot-path call sites annotate instead). The count is
-    /// dropped BEFORE each unref so a hypothetical re-entrant append
-    /// lands after the live region instead of replaying an entry.
-    void flush_deferred(mag_cache& c) {
-        if (c.dcount == 0) return;
-        g_dr_releases_->add(c.dcount);
-        g_dr_flushes_->add(1);
-        instrument::tls().deferred_flushes++;
-        while (c.dcount > 0) {
-            unref(c.dbuf[--c.dcount]);
-        }
-    }
-
     /// Quiescent: returns a cache's nodes to the global free list, its
     /// magazines to the empty depot, and folds its stat tallies. Caller
-    /// holds registry_mutex(); the deferred flush's reclaim cascade
-    /// can land nodes back in THIS thread's magazines, which is why the
-    /// pool-wide walkers flush every buffer before flushing magazines.
+    /// holds registry_mutex(); the cache flush's reclaim cascade can land
+    /// nodes back in THIS thread's magazines, which is why the pool-wide
+    /// walkers flush every SafeRead cache before flushing magazines.
     void flush_cache(mag_cache& c) {
         flush_scache(c);
-        flush_deferred(c);
         for (magazine** slot : {&c.active, &c.prev}) {
             magazine* m = *slot;
             if (m == nullptr) continue;
@@ -1266,9 +1100,6 @@ private:
     void detach_caches() {
         (void)this_thread_cache();  // see flush_magazines
         std::lock_guard lk(registry_mutex());
-        for (mag_cache* c = cache_records_; c != nullptr; c = c->next_record) {
-            flush_deferred(*c);  // normally empty (dtor flushed already)
-        }
         for (mag_cache* c = cache_records_; c != nullptr;) {
             mag_cache* next = c->next_record;
             flush_cache(*c);
@@ -1400,8 +1231,8 @@ private:
     /// up. Returns true when the cache adopted the reference (the caller
     /// must NOT release it), false when the node already has one parked
     /// (the caller keeps releasing its own copy). A set with no cheaper
-    /// way evicts its LRU parked reference through the deferred-release
-    /// buffer, like any departing hop reference.
+    /// way evicts its LRU parked reference, releasing it at once like
+    /// any departing hop reference.
     bool sr_donate(mag_cache& c, Node* p) {
         if (c.scache == nullptr) c.scache = std::make_unique<sr_entry[]>(2 * sr_sets_);
         sr_entry* set = &c.scache[2 * sr_set(p)];
@@ -1429,7 +1260,7 @@ private:
             v->refd = false;
             c.sr_live--;
             c.sr_evictions++;
-            drop_deferred(old);
+            unref(old);
         }
         v->p = p;
         v->inc = p->incarnation.load(std::memory_order_acquire);
@@ -1608,15 +1439,11 @@ private:
     telemetry::counter* g_mag_misses_ = nullptr;
     telemetry::counter* g_mag_flushes_ = nullptr;
     telemetry::gauge* g_mag_depot_ = nullptr;
-    telemetry::counter* g_dr_releases_ = nullptr;
-    telemetry::counter* g_dr_flushes_ = nullptr;
     telemetry::counter* g_sr_hits_ = nullptr;
     telemetry::counter* g_sr_misses_ = nullptr;
     telemetry::counter* g_sr_evictions_ = nullptr;
     const bool mag_on_;
     const std::size_t mag_rounds_;
-    const bool dr_on_;
-    const std::size_t dr_backlog_;
     const bool sr_on_;
     const std::size_t sr_sets_;
     const std::uint64_t pool_id_ = next_policy_domain_id();

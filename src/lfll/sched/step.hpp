@@ -28,15 +28,16 @@ enum class step_kind : std::uint8_t {
     retire,          ///< before banking a dead node with a deferred policy
     drain,           ///< before a policy drain/scan boundary
     ref_transfer,    ///< inside the fast hop's elided-aux window (hint load -> validate)
-    deferred_release,///< between enqueuing a decrement and its eventual flush
-    flush,           ///< before draining a deferred-release buffer
+    flush,           ///< before releasing parked SafeRead-cache references
     resize,          ///< inside a hash-table split window (directory grow,
                      ///< lazy dummy insert, bucket-slot publish)
     sample,          ///< inside the profiler's sampling/arming decision
     slow_capture,    ///< inside the slow-op ring's claim -> publish window
-    batch_seek,      ///< inside the mutator superhop: between a payload copy and
-                     ///< its per-cell re-check, and in the snapshot -> referenced-
-                     ///< cursor handoff window (landing try_ref + incarnation sweep)
+    batch_seek,      ///< inside the seek/lookup superhop: between a link load and
+                     ///< the incarnation load of the node it names, between a
+                     ///< payload copy and its per-cell re-check, before a read-only
+                     ///< landing's sweep, and in the snapshot -> referenced-cursor
+                     ///< handoff window (landing try_ref + incarnation sweep)
     safe_read_cache, ///< inside the TLS SafeRead cache's take/donate/evict windows
     version_publish, ///< between a structural win (link/mark CAS) and the
                      ///< publication of its version stamp or victim hand-off
@@ -47,7 +48,7 @@ enum class step_kind : std::uint8_t {
                      ///< executor's ring drain / completion publish
 };
 
-inline constexpr int step_kind_count = 23;
+inline constexpr int step_kind_count = 22;
 
 constexpr const char* step_name(step_kind k) noexcept {
     switch (k) {
@@ -64,7 +65,6 @@ constexpr const char* step_name(step_kind k) noexcept {
         case step_kind::retire:     return "retire";
         case step_kind::drain:      return "drain";
         case step_kind::ref_transfer:     return "ref_transfer";
-        case step_kind::deferred_release: return "deferred_release";
         case step_kind::flush:            return "flush";
         case step_kind::resize:           return "resize";
         case step_kind::sample:           return "sample";

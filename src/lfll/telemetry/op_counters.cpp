@@ -21,7 +21,6 @@ op_counters& op_counters::operator+=(const op_counters& o) noexcept {
     traverse_fast_hops += o.traverse_fast_hops;
     batch_fallbacks += o.batch_fallbacks;
     traverse_prefetches += o.traverse_prefetches;
-    deferred_releases += o.deferred_releases;
     deferred_flushes += o.deferred_flushes;
     return *this;
 }
@@ -43,7 +42,6 @@ op_counters op_counters_tls::read() const noexcept {
     v.traverse_fast_hops = traverse_fast_hops.load();
     v.batch_fallbacks = batch_fallbacks.load();
     v.traverse_prefetches = traverse_prefetches.load();
-    v.deferred_releases = deferred_releases.load();
     v.deferred_flushes = deferred_flushes.load();
     return v;
 }
@@ -64,7 +62,6 @@ void op_counters_tls::clear() noexcept {
     traverse_fast_hops.clear();
     batch_fallbacks.clear();
     traverse_prefetches.clear();
-    deferred_releases.clear();
     deferred_flushes.clear();
 }
 

@@ -65,8 +65,7 @@ struct op_counters {
     std::uint64_t traverse_fast_hops = 0;  ///< hops that took the elided-aux fast path
     std::uint64_t batch_fallbacks = 0;     ///< superhops abandoned for the per-cell hop
     std::uint64_t traverse_prefetches = 0; ///< next->next software prefetches issued
-    std::uint64_t deferred_releases = 0;   ///< decrements buffered by drop_deferred
-    std::uint64_t deferred_flushes = 0;    ///< deferred-release buffer flushes
+    std::uint64_t deferred_flushes = 0;    ///< always 0: the deferred-release buffer is gone
 
     op_counters& operator+=(const op_counters& o) noexcept;
 };
@@ -89,7 +88,6 @@ struct op_counters_tls {
     owned_counter_cell traverse_fast_hops;
     owned_counter_cell batch_fallbacks;
     owned_counter_cell traverse_prefetches;
-    owned_counter_cell deferred_releases;
     owned_counter_cell deferred_flushes;
 
     /// Relaxed read of every cell into a plain value.

@@ -68,7 +68,7 @@ enum class phase : std::uint8_t {
     cas_retry,     ///< re-validating + retrying after a failed TryInsert/TryDelete
     safe_read,     ///< the fully counted SafeRead repositioning slow path
     alloc,         ///< node_pool Alloc (magazine hit or miss)
-    reclaim,       ///< retire/drain/deferred-release-flush work
+    reclaim,       ///< retire/drain/parked-reference-flush work
     backoff,       ///< waiting in the exponential backoff
     bucket_split,  ///< split-ordered lazy bucket initialization
 };

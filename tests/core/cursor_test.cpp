@@ -171,9 +171,9 @@ TEST(Cursor, DestructionReleasesPinnedDeletedCell) {
         // list yet.
         EXPECT_LT(list.pool().free_count(), free_at_start + 2);
     }
-    // All cursors gone: after flushing this thread's deferred-release
-    // buffer (traversal drops may still be batched there), the deleted
-    // cell and its aux node are reclaimed.
+    // All cursors gone: after releasing this thread's parked SafeRead-
+    // cache references (cursor resets park them), the deleted cell and
+    // its aux node are reclaimed.
     list.pool().flush_deferred_releases();
     EXPECT_EQ(list.pool().free_count(), free_at_start + 2);
     auto r = lfll::audit_list(list);

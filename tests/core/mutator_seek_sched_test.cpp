@@ -1,7 +1,8 @@
 // Scheduler coverage for the batched mutator seek (seek_while /
-// batch_seek_step, step_kind::batch_seek) and the per-thread SafeRead
-// cache (step_kind::safe_read_cache), across all three reclamation
-// policies. The two windows under test:
+// batch_seek_step, step_kind::batch_seek), the read-only lookup
+// (lookup_from, the same superhop with a reference-free landing) and the
+// per-thread SafeRead cache (step_kind::safe_read_cache), across all
+// three reclamation policies. The windows under test:
 //
 //   * batch-snapshot -> referenced-cursor handoff: batch_seek_step has
 //     snapshotted a segment and is about to try_ref the landing pre/
@@ -14,6 +15,12 @@
 //     deleter recycle the cached cell, bumping its incarnation, and the
 //     take must back out (full unref) rather than hand a stale cell to
 //     the cursor.
+//   * landing copy -> sweep (lookups): the landing cell holds no
+//     reference, so a churner that recycles it after its copy must fail
+//     the per-cell check or the closing sweep.
+//   * link load -> incarnation load (seeks and lookups): a node unlinked
+//     and recycled between the load of the link that names it and the
+//     load of its incarnation must be caught by the link re-read.
 //
 // Pinned seeds replay fixed schedules through the deterministic
 // scheduler — replay any one with LFLL_SCHED_REPLAY=<seed>. Under
@@ -50,9 +57,9 @@ sched::options pinned(std::uint64_t seed) {
 }
 
 /// Cursor-based lookup through the batched mutator seek. map::find()
-/// rides scan() and never enters batch_seek_step or the SafeRead
-/// cache; both chaos windows live on the find_from path, so the
-/// seeker/reader bodies must drive it directly.
+/// rides the read-only lookup and never enters batch_seek_step or the
+/// SafeRead cache; both chaos windows live on the find_from path, so
+/// the seeker/reader bodies must drive it directly.
 template <typename Map>
 std::optional<int> seek_find(Map& map, int key) {
     typename Map::cursor c(map.list());
@@ -60,9 +67,9 @@ std::optional<int> seek_find(Map& map, int key) {
     return (*c).second;
 }
 
-/// Drain every thread-local buffer the policies keep (deferred
-/// decrements, parked cache references, retired nodes) so the §5 audit
-/// sees a quiescent structure.
+/// Drain everything the policies keep per thread or banked (parked
+/// cache references, retired nodes) so the §5 audit sees a quiescent
+/// structure.
 template <typename Map>
 audit_report quiesce_and_audit(Map& map) {
     map.list().pool().flush_deferred_releases();
@@ -169,7 +176,7 @@ void run_recycled_cache_hit_window(std::uint64_t seed) {
 /// before that stop decision. The pinned schedules preempt the seeker
 /// between the landing cell's copy and that check while a churner
 /// erases and reinserts exactly the landing keys: with the SafeRead
-/// cache and deferred release off, the erased cell is reclaimed (its
+/// cache off, the erased cell is reclaimed (its
 /// incarnation bumps) and reused at once. The check must reject the
 /// copy and the seek fall back to the per-cell hop; every landing must
 /// still sit past its predecessor's key. These schedules pin the
@@ -183,7 +190,6 @@ std::uint64_t run_landing_recycle_window(std::uint64_t seed) {
     pool_config cfg;
     cfg.initial_capacity = 24;  // erased cells come straight back
     cfg.saferead_cache = 0;     // a parked reference would pin the cell
-    cfg.deferred_release = 0;   // so would a buffered decrement
     typename map_t::list_type::pool_type pool(cfg);
     map_t map(pool);
     for (int k = 0; k < 8; ++k) map.insert(k, 100 + k);
@@ -238,6 +244,76 @@ std::uint64_t run_landing_recycle_window(std::uint64_t seed) {
     return fallbacks;
 }
 
+/// Point reads racing churn on the landing keys, for the two unreferenced
+/// windows of the superhop: the seeker reads every key 1..7 — through
+/// the read-only lookup (map.find) or the cursor seek (find_from) — while
+/// a churner erases and reinserts the even keys on a tiny pool, so an
+/// erased cell is reclaimed (its incarnation bumps) and reused at once.
+/// The odd keys are never erased: every read of one must find it with
+/// its value, whatever the walk fell back to. With the SafeRead cache
+/// off nothing pins an erased cell; with it on, a parked reference can
+/// keep the aux before an erased cell at its incarnation, so only the
+/// link re-read (batch_hop's touch) can tell that the cell the walk
+/// named was recycled. Returns the seeker's superhop fallbacks.
+template <typename Policy>
+std::uint64_t run_point_read_recycle_window(std::uint64_t seed, bool lookup, bool cache) {
+    using map_t = sorted_list_map<int, int, std::less<int>, Policy>;
+    pool_config cfg;
+    cfg.initial_capacity = 24;  // erased cells come straight back
+    cfg.saferead_cache = cache ? 1 : 0;
+    typename map_t::list_type::pool_type pool(cfg);
+    map_t map(pool);
+    for (int k = 0; k < 8; ++k) map.insert(k, 100 + k);
+    std::uint64_t fallbacks = 0;
+    std::vector<std::function<void()>> bodies;
+    bodies.push_back([&map, &fallbacks, lookup] {
+        auto& ctr = instrument::tls();
+        const std::uint64_t before = ctr.batch_fallbacks.load();
+        for (int round = 0; round < 3; ++round) {
+            for (int k = 1; k <= 7; ++k) {
+                std::optional<int> v;
+                if (lookup) {
+                    v = map.find(k);
+                } else {
+                    v = seek_find(map, k);
+                }
+                if (k % 2 == 1) {
+                    EXPECT_EQ(v, std::optional<int>(100 + k)) << "never-erased key " << k;
+                } else if (v) {
+                    EXPECT_TRUE(*v == 100 + k || *v == 110 + k) << "key " << k << " read " << *v;
+                }
+            }
+        }
+        fallbacks = ctr.batch_fallbacks.load() - before;
+    });
+    bodies.push_back([&map] {  // churner: recycle the even cells
+        for (int i = 0; i < 6; ++i) {
+            const int k = 2 + 2 * (i % 3);
+            map.erase(k);
+            map.insert(k, 110 + k);
+        }
+    });
+    // As for the landing-recycle seeds: change points packed early, so
+    // the seeker is demoted inside its windows while the churner runs.
+    sched::options o = pinned(seed);
+    o.change_points = 6;
+    o.change_horizon = 256;
+    sched::run(o, std::move(bodies));
+    if constexpr (map_t::list_type::pool_type::counts_traversal) {
+        EXPECT_GT(sched::scheduler::instance().kind_count(sched::step_kind::batch_seek),
+                  0u)
+            << "seed " << seed;
+    } else {
+        EXPECT_EQ(sched::scheduler::instance().kind_count(sched::step_kind::batch_seek),
+                  0u);
+        EXPECT_EQ(fallbacks, 0u);
+    }
+    auto r = quiesce_and_audit(map);
+    EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
+                      << " — replay with LFLL_SCHED_REPLAY=" << seed;
+    return fallbacks;
+}
+
 TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_Refcount) {
     for (std::uint64_t seed : {3ull, 8ull, 17ull, 29ull, 41ull, 56ull}) {
         run_handoff_window<valois_refcount>(seed);
@@ -259,10 +335,11 @@ TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_EpochCompilesOut) {
 // The landing-recycle seeds were picked with a probe that counted
 // per-cell re-check failures: in each, the churner recycles a landing
 // cell inside the seeker's copy -> re-check window. The seeker's
-// superhop fallbacks must show it.
+// superhop fallbacks must show it. (Re-picked when the deferred-release
+// steps left the schedules and the link-load step joined them.)
 TEST(MutatorSeekSched, PinnedSeed_LandingRecycle_Refcount) {
     std::uint64_t fallbacks = 0;
-    for (std::uint64_t seed : {71ull, 101ull, 129ull, 171ull, 187ull}) {
+    for (std::uint64_t seed : {51ull, 77ull, 105ull, 153ull, 165ull}) {
         fallbacks += run_landing_recycle_window<valois_refcount>(seed);
     }
     EXPECT_GT(fallbacks, 0u) << "no pinned schedule made the seek fall back";
@@ -270,7 +347,7 @@ TEST(MutatorSeekSched, PinnedSeed_LandingRecycle_Refcount) {
 
 TEST(MutatorSeekSched, PinnedSeed_LandingRecycle_Hazard) {
     std::uint64_t fallbacks = 0;
-    for (std::uint64_t seed : {79ull, 101ull, 115ull, 129ull}) {
+    for (std::uint64_t seed : {65ull, 79ull, 105ull, 165ull}) {
         fallbacks += run_landing_recycle_window<hazard_policy>(seed);
     }
     EXPECT_GT(fallbacks, 0u) << "no pinned schedule made the seek fall back";
@@ -279,6 +356,80 @@ TEST(MutatorSeekSched, PinnedSeed_LandingRecycle_Hazard) {
 TEST(MutatorSeekSched, PinnedSeed_LandingRecycle_EpochCompilesOut) {
     for (std::uint64_t seed : {71ull, 79ull}) {
         run_landing_recycle_window<epoch_policy>(seed);
+    }
+}
+
+// The point-read seeds were picked with a probe that counted recycles
+// inside each window. Lookup landing: the landing cell recycled between
+// its copy and the closing sweep (cache off, as for LandingRecycle).
+TEST(MutatorSeekSched, PinnedSeed_LookupLandingRecycle_Refcount) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {203ull, 313ull, 359ull, 525ull, 547ull}) {
+        fallbacks += run_point_read_recycle_window<valois_refcount>(seed, true, false);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule made a lookup fall back";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_LookupLandingRecycle_Hazard) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {61ull, 477ull, 483ull, 605ull}) {
+        fallbacks += run_point_read_recycle_window<hazard_policy>(seed, true, false);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule made a lookup fall back";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_LookupLandingRecycle_EpochCompilesOut) {
+    for (std::uint64_t seed : {61ull, 203ull}) {
+        run_point_read_recycle_window<epoch_policy>(seed, true, false);
+    }
+}
+
+// Link load -> incarnation load: a cell recycled between the two, for
+// both the lookup and the seek (cache off, so the schedules replay
+// exactly).
+TEST(MutatorSeekSched, PinnedSeed_LinkLoadRecycle_Refcount) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {29ull, 81ull, 133ull, 167ull, 177ull}) {
+        fallbacks += run_point_read_recycle_window<valois_refcount>(seed, true, false);
+    }
+    for (std::uint64_t seed : {111ull, 117ull, 219ull, 247ull}) {
+        fallbacks += run_point_read_recycle_window<valois_refcount>(seed, false, false);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule made a read fall back";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_LinkLoadRecycle_Hazard) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {61ull, 81ull, 101ull, 111ull}) {
+        fallbacks += run_point_read_recycle_window<hazard_policy>(seed, true, false);
+    }
+    for (std::uint64_t seed : {117ull, 265ull, 279ull, 327ull}) {
+        fallbacks += run_point_read_recycle_window<hazard_policy>(seed, false, false);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule made a read fall back";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_LinkLoadRecycle_EpochCompilesOut) {
+    for (std::uint64_t seed : {29ull, 111ull}) {
+        run_point_read_recycle_window<epoch_policy>(seed, true, false);
+        run_point_read_recycle_window<epoch_policy>(seed, false, false);
+    }
+}
+
+// The same window with the SafeRead cache on (the default): a parked
+// reference can keep the aux before the recycled cell at its
+// incarnation, so the closing sweep passes and only the link re-read
+// rejects the walk. Without the re-read, a sweep of these seeds reports
+// a never-erased key absent in about one run in three. Schedules with
+// the cache on do not replay bit-for-bit (they vary with timing), so
+// this is a sweep, not a pin.
+TEST(MutatorSeekSched, LinkLoadRecycleSweep_CacheOn_Refcount) {
+    for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+        run_point_read_recycle_window<valois_refcount>(seed, true, true);
+        if (::testing::Test::HasFailure()) {
+            ADD_FAILURE() << "first failing seed " << seed;
+            return;
+        }
     }
 }
 

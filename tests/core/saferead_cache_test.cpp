@@ -23,8 +23,8 @@ using map_t = sorted_list_map<int, int>;
 using pool_t = map_t::list_type::pool_type;
 
 /// Cursor-based lookup through the batched mutator seek (find_from).
-/// map::find() rides scan(), which takes no cursor and touches no
-/// cache; the seek path — what insert/erase position through — is the
+/// map::find() rides the read-only lookup, which takes no cursor and
+/// touches no cache; the seek path — what insert/erase position through — is the
 /// one that donates to and takes from the SafeRead cache, so these
 /// tests drive it directly. Returns the value at `key`, if present.
 std::optional<int> seek_find(map_t& map, int key) {
@@ -55,7 +55,7 @@ TEST(SafeReadCache, ParkAndTakeOnRepeatVisits) {
     EXPECT_TRUE(r.ok) << r.error;
 }
 
-TEST(SafeReadCache, EvictionRoutesThroughDeferredReleaseAndBalances) {
+TEST(SafeReadCache, EvictionReleasesAndBalances) {
     pool_config cfg;
     cfg.initial_capacity = 256;
     cfg.saferead_cache = 1;
@@ -65,16 +65,16 @@ TEST(SafeReadCache, EvictionRoutesThroughDeferredReleaseAndBalances) {
     for (int k = 0; k < 64; ++k) map.insert(k, k);
     const auto before = pool.saferead_cache_stats();
     // Land on many distinct cells: each seek parks its landing cells,
-    // and a 4-entry cache must evict the LRU parked reference through
-    // the deferred-release buffer (never a lost or doubled decrement).
+    // and a 4-entry cache must evict the LRU parked reference, releasing
+    // it at once (never a lost or doubled decrement).
     for (int k = 0; k < 64; k += 3) {
         ASSERT_TRUE(seek_find(map, k).has_value());
     }
     const auto after = pool.saferead_cache_stats();
     EXPECT_GT(after.evictions, before.evictions);
-    // The audit flushes every thread's parked references and deferred
-    // decrements itself; a miscounted eviction surfaces here as a
-    // refcount imbalance on some cell.
+    // The audit flushes every thread's parked references itself; a
+    // miscounted eviction surfaces here as a refcount imbalance on some
+    // cell.
     auto r = audit_list(map.list());
     EXPECT_TRUE(r.ok) << r.error;
     pool.flush_deferred_releases();
@@ -108,7 +108,7 @@ TEST(SafeReadCache, CrossIncarnationInvalidation) {
     // Park cell 2 in the cache, then decay the parked reference to a
     // hint (flush releases the count but keeps the entry).
     ASSERT_TRUE(seek_find(map, 2).has_value());
-    pool.flush_saferead_cache();
+    pool.flush_deferred_releases();
     EXPECT_EQ(pool.saferead_cache_pending(), 0u);
     // Recycle the hinted cell: erase, run the owed decrements, and
     // reinsert — the node returns through the free list with a bumped

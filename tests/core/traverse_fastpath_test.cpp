@@ -1,20 +1,24 @@
 // Scheduler coverage for the traversal fast-path engine: the elided-aux
-// hop window (hop_over_aux / batch_commit, step_kind::ref_transfer), the
-// deferred-release buffer (step_kind::deferred_release) and its flush
-// boundary (step_kind::flush). Pinned seeds replay fixed schedules
-// through the deterministic scheduler — exact regression pins, replay
-// any one with LFLL_SCHED_REPLAY=<seed> — plus direct (unscheduled)
-// checks of the deferred-release invariants the §5 audits rely on.
+// hop window (hop_over_aux / batch_commit, step_kind::ref_transfer) and
+// the flush boundary that releases parked SafeRead-cache references
+// (step_kind::flush). Pinned seeds replay fixed schedules through the
+// deterministic scheduler — exact regression pins, replay any one with
+// LFLL_SCHED_REPLAY=<seed> — plus direct (unscheduled) checks of where
+// superhop segments end and of how many RMWs a lookup costs.
 #define LFLL_SCHED_CHAOS 1
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "lfll/core/audit.hpp"
 #include "lfll/core/list.hpp"
+#include "lfll/dict/sorted_list_map.hpp"
+#include "lfll/dict/split_ordered_map.hpp"
 #include "lfll/sched/session.hpp"
 
 namespace {
@@ -27,12 +31,6 @@ void append(list_t& list, char v) {
     cursor_t c(list);
     while (!c.at_end()) list.next(c);
     list.insert(c, v);
-}
-
-std::vector<char> contents(list_t& list) {
-    std::vector<char> out;
-    for (cursor_t c(list); !c.at_end(); list.next(c)) out.push_back(*c);
-    return out;
 }
 
 lfll::sched::options pinned(std::uint64_t seed) {
@@ -98,30 +96,32 @@ TEST(TraverseFastPath, PinnedSeed_ElidedHopValidationWindow) {
     }
 }
 
-/// The flush boundary: a backlog cap of 2 forces flush_deferred inside
-/// the traversal loops, and the schedules preempt between buffering a
-/// decrement and flushing it (deferred_release -> flush). The §5 audit
-/// afterwards proves no decrement was lost or doubled across the
-/// preempted flush windows.
+/// The flush boundary: traversers park their op-boundary references in
+/// a 2-entry SafeRead cache (so donations evict constantly) and release
+/// them mid-schedule through flush_deferred_releases(), while a deleter
+/// makes the parked nodes unreachable. The schedules preempt inside the
+/// cache's take/donate/evict windows and at the flush itself; the §5
+/// audit afterwards proves no reference was lost or doubled across them.
 TEST(TraverseFastPath, PinnedSeed_DeferredReleaseFlushWindow) {
     for (std::uint64_t seed : {2ull, 7ull, 13ull, 23ull, 37ull, 61ull}) {
         lfll::pool_config cfg;
         cfg.initial_capacity = 16;
-        cfg.deferred_release = 1;  // force on, whatever the env says
-        cfg.release_backlog = 2;   // flush constantly
+        cfg.saferead_cache = 1;       // force on, whatever the env says
+        cfg.saferead_cache_size = 2;  // one set: donations evict
         pool_t pool(cfg);
         list_t list(pool);
         for (char v : {'A', 'B', 'C', 'D', 'E'}) append(list, v);
         std::vector<std::function<void()>> bodies;
         for (int t = 0; t < 2; ++t) {
-            bodies.push_back([&list] {  // traversers: feed the buffer
+            bodies.push_back([&list, &pool] {  // traversers: park and flush
                 for (int round = 0; round < 3; ++round) {
                     for (cursor_t c(list); !c.at_end(); list.next(c)) {
                     }
+                    pool.flush_deferred_releases();
                 }
             });
         }
-        bodies.push_back([&list] {  // deleter: buffered nodes go unreachable
+        bodies.push_back([&list] {  // deleter: parked nodes go unreachable
             for (int i = 0; i < 3; ++i) {
                 cursor_t c(list);
                 if (!c.at_end()) (void)list.try_delete(c);
@@ -130,7 +130,7 @@ TEST(TraverseFastPath, PinnedSeed_DeferredReleaseFlushWindow) {
         });
         lfll::sched::run(pinned(seed), std::move(bodies));
         auto& s = lfll::sched::scheduler::instance();
-        EXPECT_GT(s.kind_count(lfll::sched::step_kind::deferred_release), 0u)
+        EXPECT_GT(s.kind_count(lfll::sched::step_kind::safe_read_cache), 0u)
             << "seed " << seed;
         EXPECT_GT(s.kind_count(lfll::sched::step_kind::flush), 0u)
             << "seed " << seed;
@@ -139,61 +139,6 @@ TEST(TraverseFastPath, PinnedSeed_DeferredReleaseFlushWindow) {
         EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
                           << " — replay with LFLL_SCHED_REPLAY=" << seed;
     }
-}
-
-/// The quiescence contract the audits depend on: a traversal leaves its
-/// decrements parked in the thread's buffer, and the audit must (a) see
-/// them — flushing internally — and (b) still balance every count.
-TEST(TraverseFastPath, AuditPassesWithNonEmptyDecrementBuffer) {
-    lfll::pool_config cfg;
-    cfg.initial_capacity = 64;
-    cfg.deferred_release = 1;   // force on, whatever the env says
-    cfg.release_backlog = 64;   // and pin the cap (env can shrink it to 1)
-    pool_t pool(cfg);
-    list_t list(pool);
-    for (char v : {'a', 'b', 'c', 'd', 'e', 'f'}) append(list, v);
-
-    {
-        cursor_t c(list);
-        while (!c.at_end()) list.next(c);
-    }
-    // The walk buffered its hand-over-hand releases (backlog default 64,
-    // far above the hops here — nothing flushed yet).
-    ASSERT_GT(pool.deferred_release_pending(), 0u);
-
-    auto r = lfll::audit_list(list);
-    EXPECT_TRUE(r.ok) << r.error;
-    // The audit's internal flush ran the real decrements.
-    EXPECT_EQ(pool.deferred_release_pending(), 0u);
-}
-
-/// Deferred-release A/B: the same operation sequence against a buffering
-/// pool and an immediate-release pool must produce the same list, the
-/// same audit verdict, and — after the buffering side flushes — the same
-/// free-node accounting.
-TEST(TraverseFastPath, DeferredOnAndOffConverge) {
-    auto run = [](int deferred) {
-        lfll::pool_config cfg;
-        cfg.initial_capacity = 64;
-        cfg.deferred_release = deferred;
-        pool_t pool(cfg);
-        list_t list(pool);
-        for (char v : {'m', 'n', 'o', 'p', 'q'}) append(list, v);
-        for (int i = 0; i < 2; ++i) {  // delete the front twice
-            cursor_t c(list);
-            EXPECT_TRUE(list.try_delete(c));
-        }
-        for (cursor_t c(list); !c.at_end(); list.next(c)) {
-        }
-        pool.flush_deferred_releases();
-        pool.drain_retired();
-        auto r = lfll::audit_list(list);
-        EXPECT_TRUE(r.ok) << r.error << " (deferred_release=" << deferred << ")";
-        EXPECT_EQ(pool.retired_count(), 0u);
-        return contents(list);
-    };
-    EXPECT_EQ(run(0), run(1));
-    EXPECT_EQ(run(1), (std::vector<char>{'o', 'p', 'q'}));
 }
 
 /// Batch sweep rejection, staged deterministically: park a scan mid-hop
@@ -285,6 +230,85 @@ TEST(TraverseFastPath, SuperhopSegmentEndsWhereTheWalkDoes) {
     EXPECT_EQ(ctr.traverse_hops.load() - hops0, static_cast<std::uint64_t>(kCells) + 1);
     auto r = lfll::audit_list(list);
     EXPECT_TRUE(r.ok) << r.error;
+}
+
+/// The node holding `key` in a quiescent map's list (plain walk).
+template <typename List, typename Match>
+const typename List::node* find_node(List& list, Match&& match) {
+    for (auto* p = list.head()->next.load(); p != nullptr && !p->is_tail();
+         p = p->next.load()) {
+        if (p->is_cell() && match(p->value())) return p;
+    }
+    return nullptr;
+}
+
+/// What a read-only lookup costs in RMWs, single-threaded so the counts
+/// are exact. protect() is the only traversal RMW that bumps safe_reads.
+/// A find that lands inside its first superhop segment takes no
+/// reference at all: no protect, and the start it borrows (First, a
+/// bucket dummy) and the cell it lands on keep their counts. A find
+/// whose walk crosses k full segments protects each segment end, so at
+/// most k protects.
+TEST(TraverseFastPath, LookupLandingTakesNoReference) {
+    auto& ctr = lfll::instrument::tls();
+    {
+        using map_t = lfll::sorted_list_map<int, int>;
+        map_t map(256);
+        for (int k = 0; k < 200; ++k) map.insert(k, 1000 + k);
+        map.list().pool().flush_deferred_releases();
+        for (int k : {0, 1, 7, 13}) {
+            const auto* head = map.list().head();
+            const auto* cell = find_node(map.list(), [k](const auto& kv) { return kv.first == k; });
+            ASSERT_NE(cell, nullptr);
+            const auto head_rc = head->refct.load();
+            const auto cell_rc = cell->refct.load();
+            const auto reads0 = ctr.safe_reads.load();
+            EXPECT_EQ(map.find(k), std::optional<int>(1000 + k));
+            EXPECT_EQ(ctr.safe_reads.load() - reads0, 0u) << "find(" << k << ") protected";
+            EXPECT_EQ(head->refct.load(), head_rc) << "find(" << k << ") touched First";
+            EXPECT_EQ(cell->refct.load(), cell_rc) << "find(" << k << ") touched its landing";
+        }
+        // Cell k is the (k+1)-th after First. A segment copies up to 15
+        // cells and protects the 16th, so landing on cell k crosses
+        // (k + 1) / 16 full segments.
+        for (int k : {14, 15, 16, 31, 32, 47, 100, 199, 250}) {
+            const auto reads0 = ctr.safe_reads.load();
+            const auto found = map.find(k);
+            EXPECT_EQ(found.has_value(), k < 200);
+            const auto full = static_cast<std::uint64_t>(std::min(k, 200) + 1) / 16;
+            EXPECT_LE(ctr.safe_reads.load() - reads0, full) << "find(" << k << ")";
+        }
+        auto r = lfll::audit_list(map.list());
+        EXPECT_TRUE(r.ok) << r.error;
+    }
+    {
+        using map_t = lfll::split_ordered_map<std::uint64_t, std::uint64_t>;
+        map_t map(lfll::split_ordered_config{64, 512});
+        for (std::uint64_t k = 0; k < 128; ++k) map.insert(k, 7 * k);
+        // Touch every bucket first: a bucket's first access splits it
+        // (a cursor seek from its parent's dummy), which is not a lookup.
+        for (std::uint64_t k = 0; k < 2048; ++k) (void)map.find(k);
+        map.pool().flush_deferred_releases();
+        std::vector<const map_t::node*> dummies;
+        map.for_each_bucket_slot([&](std::size_t, const map_t::node* d) { dummies.push_back(d); });
+        std::vector<std::uint64_t> dummy_rc;
+        for (const auto* d : dummies) dummy_rc.push_back(d->refct.load());
+        for (std::uint64_t k : {0ull, 5ull, 77ull, 127ull}) {
+            const auto* cell = find_node(map.list(), [k](const auto& e) {
+                return (e.so & 1) != 0 && e.key == k;
+            });
+            ASSERT_NE(cell, nullptr);
+            const auto cell_rc = cell->refct.load();
+            const auto reads0 = ctr.safe_reads.load();
+            EXPECT_EQ(map.find(k), std::optional<std::uint64_t>(7 * k));
+            EXPECT_EQ(ctr.safe_reads.load() - reads0, 0u) << "find(" << k << ") protected";
+            EXPECT_EQ(cell->refct.load(), cell_rc) << "find(" << k << ") touched its landing";
+        }
+        for (std::uint64_t k = 128; k < 160; ++k) EXPECT_FALSE(map.find(k).has_value());
+        for (std::size_t i = 0; i < dummies.size(); ++i) {
+            EXPECT_EQ(dummies[i]->refct.load(), dummy_rc[i]) << "a find touched bucket dummy " << i;
+        }
+    }
 }
 
 }  // namespace

@@ -514,18 +514,19 @@ TEST(SchedExplore, PinnedSeed_ShardPoolDrainEpoch) {
     }
 }
 
-// --------------------------- magazine x deferred-release interleavings
+// ------------------- magazine x deferred-decrement interleavings
 
-/// Magazine exchanges racing buffered decrements: a deliberately cramped
-/// pool (2-round magazines, 2-deep release buffer) so alloc/free crosses
-/// the magazine<->depot boundary every few ops while traversal hops park
-/// decrements in the deferred buffer and forced flushes cascade real
-/// unref()s mid-schedule. Each body also flushes its own buffer inside
-/// the session, interleaving flush cascades with the other threads'
-/// buffered hops. Under epochs drop() is free (the pool ignores the
-/// deferred knob), so only the magazine window is asserted there. The
+/// Magazine exchanges racing deferred decrements: a deliberately cramped
+/// pool (2-round magazines, a 2-entry SafeRead cache) so alloc/free
+/// crosses the magazine<->depot boundary every few ops while cursor
+/// teardowns park references in the cache and evictions cascade real
+/// unref()s mid-schedule. Each body also flushes its own parked
+/// references inside the session (flush_deferred_releases), interleaving
+/// flush cascades with the other threads' parking. Under epochs the cache
+/// compiles out, so only the magazine window is asserted there. The
 /// quiescent §5 audit would catch a decrement lost (or replayed) across
-/// a buffer flush or a node teleported through a stale magazine.
+/// a flush or an eviction, or a node teleported through a stale
+/// magazine.
 template <typename Policy>
 struct magdr_shim {
     using list_t = valois_list<int, Policy>;
@@ -534,9 +535,9 @@ struct magdr_shim {
         pool_config c;
         c.initial_capacity = 24;
         c.magazines = 1;
-        c.mag_rounds = 2;        // exchange with the depot every 2 nodes
-        c.deferred_release = 1;  // buffer traversal decrements (counting)
-        c.release_backlog = 2;   // forced flush every third buffered drop
+        c.mag_rounds = 2;          // exchange with the depot every 2 nodes
+        c.saferead_cache = 1;      // park op-boundary references (counting)
+        c.saferead_cache_size = 2; // one set: donations evict
         return c;
     }
     pool_t pool{cramped()};
@@ -568,8 +569,8 @@ void check_mag_deferred_window(std::uint64_t seed) {
                     list.insert(c, 100 * (t + 1) + op);
                 }
                 c.reset();
-                // Mid-schedule flush, racing the other threads' buffered
-                // hops and magazine exchanges.
+                // Mid-schedule flush, racing the other threads' parked
+                // references and magazine exchanges.
                 if (op == kOps / 2) shim.pool.flush_deferred_releases();
             }
         });
@@ -579,10 +580,10 @@ void check_mag_deferred_window(std::uint64_t seed) {
     EXPECT_GT(s.kind_count(sched::step_kind::magazine), 0u)
         << "no magazine/depot exchange reached; " << lin::replay_hint(seed);
     if constexpr (magdr_shim<Policy>::pool_t::counts_traversal) {
-        EXPECT_GT(s.kind_count(sched::step_kind::deferred_release), 0u)
-            << "no decrement was ever buffered; " << lin::replay_hint(seed);
+        EXPECT_GT(s.kind_count(sched::step_kind::safe_read_cache), 0u)
+            << "no reference was ever parked or taken; " << lin::replay_hint(seed);
         EXPECT_GT(s.kind_count(sched::step_kind::flush), 0u)
-            << "no deferred-release flush reached; " << lin::replay_hint(seed);
+            << "no parked-reference flush reached; " << lin::replay_hint(seed);
     }
     shim.pool.flush_all_deferred_releases();
     shim.pool.drain_retired();
