@@ -30,7 +30,11 @@
 // Slabs are never returned to the OS while the pool lives; this is the
 // precondition for SafeRead's transient increment on a recycled node being
 // harmless (§5.1: "we can safely reuse cells ... as long as we can
-// guarantee that no other processes have pointers to the cell").
+// guarantee that no other processes have pointers to the cell"). A slab of
+// at least 2 MiB gets its own 2 MiB-aligned mapping with its whole-huge-
+// page prefix advised for transparent huge pages; smaller slabs stay on
+// the heap (slab_memory.hpp). Either backing is released only in
+// ~node_pool.
 //
 // --- Magazine fast path (Bonwick-style, in front of Figs. 17-18) --------
 //
@@ -149,11 +153,14 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <new>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "lfll/memory/policy.hpp"
 #include "lfll/memory/ref_count.hpp"
+#include "lfll/memory/slab_memory.hpp"
 #include "lfll/primitives/cacheline.hpp"
 #include "lfll/primitives/instrument.hpp"
 #include "lfll/primitives/test_hooks.hpp"
@@ -281,6 +288,8 @@ template <typename Node, typename Policy = valois_refcount>
 class node_pool {
     static_assert(memory_policy_for<Policy, Node>,
                   "Policy does not satisfy the MemoryPolicy concept for this Node");
+    static_assert(std::is_nothrow_default_constructible_v<Node>,
+                  "grow() placement-constructs slab nodes and cannot unwind a throw");
 
 public:
     using policy_type = Policy;
@@ -319,6 +328,7 @@ public:
         const std::string label = std::string("policy=\"") + Policy::name + "\"";
         g_free_depth_ = &reg.get_gauge("lfll_free_list_depth", label);
         g_capacity_ = &reg.get_gauge("lfll_pool_capacity", label);
+        g_huge_bytes_ = &reg.get_gauge("lfll_pool_huge_bytes", label);
         g_backlog_ = &reg.get_gauge("lfll_retired_backlog", label);
         g_mag_hits_ = &reg.get_counter("lfll_pool_magazine_hits_total", label);
         g_mag_misses_ = &reg.get_counter("lfll_pool_magazine_misses_total", label);
@@ -721,7 +731,7 @@ public:
     void for_each_node(F&& f) const {
         std::lock_guard lk(grow_mu_);
         for (const auto& slab : slabs_) {
-            for (std::size_t i = 0; i < slab.count; ++i) f(&slab.nodes[i]);
+            for (std::size_t i = 0; i < slab.count; ++i) f(&slab.nodes()[i]);
         }
     }
 
@@ -749,9 +759,20 @@ private:
     static constexpr bool sr_cacheable =
         policy_counts_traversal && detail::node_with_incarnation<Node>;
 
+    /// `count` nodes placement-constructed at the start of `mem`.
     struct slab {
-        std::unique_ptr<Node[]> nodes;
+        detail::slab_memory mem;
         std::size_t count;
+
+        Node* nodes() const noexcept { return static_cast<Node*>(mem.data()); }
+
+        slab(detail::slab_memory m, std::size_t n) noexcept : mem(std::move(m)), count(n) {}
+        slab(slab&&) noexcept = default;
+        ~slab() {
+            if constexpr (!std::is_trivially_destructible_v<Node>) {
+                if (mem.data() != nullptr) std::destroy_n(nodes(), count);
+            }
+        }
     };
 
     // --- magazine layer ---------------------------------------------------
@@ -1395,21 +1416,28 @@ private:
         free_count_.fetch_add(1, std::memory_order_relaxed);
     }
 
+    /// Adds a slab of `at_least` nodes and splices it onto the free list.
+    /// Throws std::bad_alloc (heap, mapping or slab bookkeeping) before
+    /// any pool state changes: capacity, free list and gauges stay as
+    /// they were, and a slab that was already mapped is released.
     void grow(std::size_t at_least) {
         std::lock_guard lk(grow_mu_);
         if (free_head_.load(std::memory_order_acquire) != nullptr) return;  // lost the race; fine
         const std::size_t n = at_least == 0 ? 1 : at_least;
-        slab s{std::make_unique<Node[]>(n), n};
-        Node* nodes = s.nodes.get();
+        if (n > SIZE_MAX / sizeof(Node)) throw std::bad_alloc();
+        detail::slab_memory mem(n * sizeof(Node), alignof(Node));
+        Node* nodes = static_cast<Node*>(mem.data());
         for (std::size_t i = 0; i < n; ++i) {
             // Fresh nodes enter the world on the free list: count 1.
-            nodes[i].refct.store(refct_one, std::memory_order_relaxed);
-            nodes[i].next.store(i + 1 < n ? &nodes[i + 1] : nullptr,
-                                std::memory_order_relaxed);
+            Node* q = ::new (static_cast<void*>(nodes + i)) Node();
+            q->refct.store(refct_one, std::memory_order_relaxed);
+            q->next.store(i + 1 < n ? nodes + i + 1 : nullptr, std::memory_order_relaxed);
         }
-        slabs_.push_back(std::move(s));
+        slabs_.emplace_back(std::move(mem), n);
+        huge_bytes_ += slabs_.back().mem.huge_bytes();
         capacity_.fetch_add(n, std::memory_order_relaxed);
         g_capacity_->set(static_cast<std::int64_t>(capacity_.load(std::memory_order_relaxed)));
+        g_huge_bytes_->set(static_cast<std::int64_t>(huge_bytes_));
         // Splice the whole slab in one CAS loop.
         Node* head = free_head_.load(std::memory_order_acquire);
         do {
@@ -1434,6 +1462,7 @@ private:
 
     telemetry::gauge* g_free_depth_ = nullptr;
     telemetry::gauge* g_capacity_ = nullptr;
+    telemetry::gauge* g_huge_bytes_ = nullptr;
     telemetry::gauge* g_backlog_ = nullptr;
     telemetry::counter* g_mag_hits_ = nullptr;
     telemetry::counter* g_mag_misses_ = nullptr;
@@ -1462,6 +1491,7 @@ private:
     mag_cache* cache_records_ = nullptr;  // under registry_mutex()
     mutable std::mutex grow_mu_;
     std::vector<slab> slabs_;
+    std::size_t huge_bytes_ = 0;  // under grow_mu_
     domain_type domain_;  // last member: destroyed first, after ~node_pool's drain
 };
 

@@ -1,18 +1,43 @@
 // node_pool: Alloc/Reclaim (Figs. 17-18), SafeRead/Release (Figs. 15-16),
-// slab growth, free-list ABA safety, and the reclamation cascade.
+// slab growth, free-list ABA safety, the reclamation cascade, the
+// huge-page slab backing, and slab exhaustion.
 #include <gtest/gtest.h>
 
 #include "test_scale.hpp"
 
+#include <sys/resource.h>
+
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "lfll/core/audit.hpp"
 #include "lfll/core/node.hpp"
+#include "lfll/dict/hash_map.hpp"
+#include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/memory/node_pool.hpp"
 #include "lfll/primitives/rng.hpp"
+#include "lfll/reclaim/epoch_policy.hpp"
+#include "lfll/reclaim/hazard_policy.hpp"
+#include "lfll/telemetry/metrics.hpp"
+
+// ASan and TSan reserve huge address ranges, so an RLIMIT_AS cap cannot
+// isolate one slab mapping under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define LFLL_TEST_BIG_SHADOW 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define LFLL_TEST_BIG_SHADOW 1
+#endif
+#endif
 
 namespace {
 
@@ -202,6 +227,178 @@ TEST(NodePool, FreeListSurvivesAdversarialChurn) {
         EXPECT_TRUE(free_set.insert(n).second) << "node on free list twice";
     });
     EXPECT_EQ(free_set.size(), pool.capacity());
+}
+
+// --- Huge-page slab backing ---------------------------------------------
+
+constexpr std::size_t kHugePage = std::size_t{2} << 20;
+
+/// Lines in /proc/self/maps: one per mapping (VMA).
+std::size_t maps_lines() {
+    std::ifstream in("/proc/self/maps");
+    std::size_t n = 0;
+    for (std::string line; std::getline(in, line);) ++n;
+    return n;
+}
+
+/// Sum of AnonHugePages (kB) over the /proc/self/smaps entries that
+/// overlap [lo, hi).
+std::size_t anon_huge_kb(std::uintptr_t lo, std::uintptr_t hi) {
+    std::ifstream in("/proc/self/smaps");
+    std::size_t kb = 0;
+    bool inside = false;
+    for (std::string line; std::getline(in, line);) {
+        unsigned long long a = 0, b = 0;
+        if (std::sscanf(line.c_str(), "%llx-%llx ", &a, &b) == 2 &&
+            line.find(':') > line.find(' ')) {
+            inside = a < hi && b > lo;
+        } else if (inside && line.rfind("AnonHugePages:", 0) == 0) {
+            kb += std::strtoull(line.c_str() + 14, nullptr, 10);
+        }
+    }
+    return kb;
+}
+
+/// VmSize of this process in bytes.
+std::size_t vm_size_bytes() {
+    std::ifstream in("/proc/self/status");
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("VmSize:", 0) == 0) return std::strtoull(line.c_str() + 7, nullptr, 10) << 10;
+    }
+    return 0;
+}
+
+template <typename Policy>
+class HugeSlab : public ::testing::Test {};
+
+class PolicyNames {
+public:
+    template <typename Policy>
+    static std::string GetName(int) {
+        return Policy::name;
+    }
+};
+
+using AllPolicies = ::testing::Types<valois_refcount, hazard_policy, epoch_policy>;
+TYPED_TEST_SUITE(HugeSlab, AllPolicies, PolicyNames);
+
+// A slab of >= 2 MiB is a 2 MiB-aligned mapping holding every node the
+// pool reports, all free at start, and the §5 audit balances after churn
+// on it. Whether the kernel backs the advised prefix with huge pages
+// depends on the host, so AnonHugePages is recorded, not asserted.
+TYPED_TEST(HugeSlab, LargeSlabIsAlignedCompleteAndAudits) {
+    using map_t = sorted_list_map<int, int, std::less<int>, TypeParam>;
+    using node = typename map_t::list_type::node;
+    using pool_type = typename map_t::list_type::pool_type;
+    const std::size_t n = 3 * kHugePage / 2 / sizeof(node);  // a 3 MiB slab
+    {
+        pool_type pool(n);
+        ASSERT_EQ(pool.capacity(), n);
+        const node* first = nullptr;
+        std::size_t visited = 0;
+        pool.for_each_node([&](const node* q) {
+            if (first == nullptr) first = q;
+            ++visited;
+        });
+        ASSERT_NE(first, nullptr);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(first) % kHugePage, 0u);
+        EXPECT_EQ(visited, pool.capacity());
+        EXPECT_EQ(pool.free_count(), pool.capacity());
+
+        const auto lo = reinterpret_cast<std::uintptr_t>(first);
+        const std::size_t huge_kb = anon_huge_kb(lo, lo + n * sizeof(node));
+        ::testing::Test::RecordProperty("anon_huge_kb", static_cast<int>(huge_kb));
+        EXPECT_LE(huge_kb, kHugePage / 1024) << "only the whole-2-MiB prefix is advised";
+    }
+
+    map_t map(n);
+    auto& pool = map.list().pool();
+    const std::size_t cap = pool.capacity();
+    xorshift64 rng(0x5eed);
+    for (int i = 0; i < scaled(20000); ++i) {
+        const int k = static_cast<int>(rng.next() % 4096);
+        if (rng.next() % 2 == 0) {
+            map.insert(k, i);
+        } else {
+            map.erase(k);
+        }
+    }
+    EXPECT_EQ(pool.capacity(), cap) << "churn below capacity must not grow";
+    auto report = audit_list(map.list());
+    EXPECT_TRUE(report.ok) << report.error;
+}
+
+// Small slabs stay on the heap: a hash_map with 2^16 buckets (one pool,
+// so one slab, per bucket) must not cost one mapping per bucket.
+TYPED_TEST(HugeSlab, SmallSlabsStayOnTheHeap) {
+    const std::size_t before = maps_lines();
+    hash_map<int, int, std::hash<int>, std::less<int>, TypeParam> map(std::size_t{1} << 16, 4);
+    const std::size_t after = maps_lines();
+    EXPECT_LT(after - before, std::size_t{1} << 10)
+        << "maps grew from " << before << " to " << after << " lines";
+    map.insert(1, 1);
+    EXPECT_EQ(map.find(1), 1);
+}
+
+// A slab mapping the OS refuses surfaces as std::bad_alloc out of the
+// allocating call and changes nothing: capacity, free list, slab set and
+// gauges are as before, no mapping leaks, and once memory is available
+// again the pool grows and every node comes home.
+template <typename Policy>
+[[noreturn]] void exhaust_large_slab() {
+    using node = list_node<int, Policy>;
+    using pool_type = node_pool<node, Policy>;
+    const std::size_t n = 2 * kHugePage / sizeof(node);  // 4 MiB slabs
+    pool_type pool(n);
+    std::vector<node*> held;
+    held.reserve(2 * n);
+    for (std::size_t i = 0; i < n; ++i) held.push_back(pool.alloc());
+
+    auto& reg = telemetry::registry::global();
+    const std::string label = std::string("policy=\"") + Policy::name + "\"";
+    auto& g_cap = reg.get_gauge("lfll_pool_capacity", label);
+    auto& g_huge = reg.get_gauge("lfll_pool_huge_bytes", label);
+    auto& g_free = reg.get_gauge("lfll_free_list_depth", label);
+    const std::int64_t cap0 = g_cap.value(), huge0 = g_huge.value(), free0 = g_free.value();
+    const std::size_t maps0 = maps_lines();
+
+    rlimit old{};
+    getrlimit(RLIMIT_AS, &old);
+    rlimit low = old;
+    low.rlim_cur = vm_size_bytes() + kHugePage / 2;  // far below the next 4 MiB slab
+    if (setrlimit(RLIMIT_AS, &low) != 0) std::_Exit(10);
+    bool threw = false;
+    try {
+        held.push_back(pool.alloc());
+    } catch (const std::bad_alloc&) {
+        threw = true;
+    }
+    setrlimit(RLIMIT_AS, &old);
+
+    int code = 0;
+    std::size_t slab_nodes = 0;
+    pool.for_each_node([&](const node*) { ++slab_nodes; });
+    if (!threw) code = 11;
+    else if (pool.capacity() != n || slab_nodes != n) code = 12;
+    else if (pool.free_count() != 0) code = 13;
+    else if (g_cap.value() != cap0 || g_huge.value() != huge0 || g_free.value() != free0) code = 14;
+    else if (maps_lines() != maps0) code = 15;
+    if (code != 0) std::_Exit(code);
+
+    held.push_back(pool.alloc());  // the limit is lifted: this grows
+    if (pool.capacity() != 2 * n) std::_Exit(16);
+    for (node* q : held) pool.release(q);
+    pool.drain_retired();
+    std::_Exit(pool.free_count() == pool.capacity() ? 0 : 17);
+}
+
+TYPED_TEST(HugeSlab, FailedSlabMappingThrowsAndChangesNothing) {
+#if defined(LFLL_TEST_BIG_SHADOW)
+    GTEST_SKIP() << "sanitizer shadow memory defeats an RLIMIT_AS cap";
+#else
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(exhaust_large_slab<TypeParam>(), ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 }  // namespace
