@@ -15,6 +15,7 @@
 #include "bench_common.hpp"
 #include "lfll/baseline/locked_hash_map.hpp"
 #include "lfll/dict/hash_map.hpp"
+#include "lfll/dict/split_ordered_map.hpp"
 #include "lfll/primitives/zipf.hpp"
 
 namespace {

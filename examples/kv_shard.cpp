@@ -1,8 +1,7 @@
 // kv_shard: a miniature concurrent key-value store shard built on the
-// lock-free dictionary (lfll::kv_map — the split-ordered resizable map
-// by default, the fixed §4.1 slab under -DLFLL_FIXED_HASH; both build
-// unchanged here), demonstrating the paper's headline property: a
-// stalled thread cannot stall the store.
+// lock-free split-ordered resizable map (lfll::split_ordered_map),
+// demonstrating the paper's headline property: a stalled thread cannot
+// stall the store.
 //
 // N worker threads serve a mixed get/put/del workload. One "rogue" thread
 // is repeatedly suspended mid-operation (simulating page faults or
@@ -18,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "lfll/dict/hash_map.hpp"
+#include "lfll/dict/split_ordered_map.hpp"
 #include "lfll/primitives/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -27,9 +26,8 @@ int main(int argc, char** argv) {
     constexpr std::uint64_t kKeys = 100000;
 
     // Deliberately undersized for ~50k live entries: the resizable map
-    // doubles its way up under load (watch "buckets now" below); the
-    // fixed fallback just runs longer chains.
-    lfll::kv_map<int, std::string> store(64, 128);
+    // doubles its way up under load (watch "buckets now" below).
+    lfll::split_ordered_map<int, std::string> store(64, 128);
     for (std::uint64_t k = 0; k < kKeys; k += 2) {
         store.insert(static_cast<int>(k), "v" + std::to_string(k));
     }

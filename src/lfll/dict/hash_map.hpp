@@ -7,14 +7,13 @@
 //
 // The bucket count is fixed at construction, as in the paper. Since the
 // split-ordered sibling (split_ordered_map.hpp) landed, that is a CHOICE,
-// not a limitation: this slab remains the compile-time fallback for
+// not a limitation: this slab remains the fixed-size choice for
 // workloads whose cardinality is known up front — it needs no dummy
 // cells, no default-constructible Key/Value, and each bucket is an
 // independent Valois list with its own node pool, so buckets never
 // contend on allocation either. When the table must grow under load, use
-// split_ordered_map (or the lfll::kv_map alias below, which picks the
-// resizable design unless LFLL_FIXED_HASH is defined); its resize is
-// plain lock-free list operations, not a research problem.
+// split_ordered_map; its resize is plain lock-free list operations, not a
+// research problem.
 //
 // Buckets live in one contiguous slab of cache-line-aligned slots: bucket
 // i's hot head state never shares a line with bucket i+1's (no false
@@ -30,7 +29,6 @@
 #include <optional>
 
 #include "lfll/dict/sorted_list_map.hpp"
-#include "lfll/dict/split_ordered_map.hpp"
 #include "lfll/primitives/cacheline.hpp"
 
 namespace lfll {
@@ -129,21 +127,5 @@ private:
     std::size_t bucket_count_ = 0;
     slot* slab_ = nullptr;
 };
-
-/// Deployment-facing dictionary selector: the resizable split-ordered map
-/// by default, or this fixed slab when LFLL_FIXED_HASH is defined at
-/// compile time (embedded-style builds with a known key population).
-/// Both expose insert/erase/find/contains/for_each/size_slow/bucket_count
-/// with identical semantics, so callers (examples/kv_shard, the KV
-/// harness, the lin-checker shims) build unchanged against either.
-#if defined(LFLL_FIXED_HASH)
-template <typename Key, typename Value, typename Hash = std::hash<Key>,
-          typename Compare = std::less<Key>, typename Policy = valois_refcount>
-using kv_map = hash_map<Key, Value, Hash, Compare, Policy>;
-#else
-template <typename Key, typename Value, typename Hash = std::hash<Key>,
-          typename Compare = std::less<Key>, typename Policy = valois_refcount>
-using kv_map = split_ordered_map<Key, Value, Hash, Compare, Policy>;
-#endif
 
 }  // namespace lfll

@@ -17,8 +17,8 @@
 // and bucket indices are decorrelated even for adversarial key sets.
 //
 // The Map parameter is any dictionary with the shared public API
-// (insert/erase/find/contains/for_each/size_slow) — split_ordered_map,
-// the fixed hash_map, or the kv_map alias; per-map constructor knobs are
+// (insert/erase/find/contains/for_each/size_slow) — split_ordered_map or
+// the fixed hash_map; per-map constructor knobs are
 // injected through a factory callable, keeping this header agnostic of
 // either config struct.
 #pragma once

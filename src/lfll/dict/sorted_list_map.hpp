@@ -129,55 +129,13 @@ public:
     void apply_batch(const batch_op<Key, Value>* ops, std::size_t n,
                      batch_result<Value>* out) {
         if (n == 0) return;
-        std::vector<std::uint32_t> order(n);
-        for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::uint32_t a, std::uint32_t b) {
-                             return cmp_(ops[a].key, ops[b].key);
-                         });
         cursor c(list_);
-        const Key* erased = nullptr;  // key of the previous sub-op, if it erased
-        for (std::uint32_t idx : order) {
-            const batch_op<Key, Value>& op = ops[idx];
-            // The cursor-resume handoff between sub-ops: a preemption here
-            // lets concurrent mutators restructure the neighbourhood the
-            // resumed seek starts from.
-            testing_hooks::chaos_point(sched::step_kind::batch_drain);
-            // An erase can leave the cursor past a live re-incarnation of
-            // its key (unlink_marked walks the cluster by identity); a
-            // same-key sub-op resuming there would miss it, so it
-            // restarts from First.
-            if (erased != nullptr && !cmp_(*erased, op.key) && !cmp_(op.key, *erased)) {
-                list_.first(c);
-            }
-            erased = nullptr;
-            switch (op.kind) {
-                case batch_op_kind::get: {
-                    telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
-                                                      telemetry::key_hash(op.key));
-                    if (find_from(op.key, c)) {
-                        out[idx].ok = true;
-                        out[idx].value.emplace((*c).second);
-                    } else {
-                        out[idx].ok = false;
-                    }
-                    break;
-                }
-                case batch_op_kind::insert: {
-                    telemetry::prof::op_scope prof_op(telemetry::trace_op::insert,
-                                                      telemetry::key_hash(op.key));
-                    out[idx].ok = insert_at(c, op.key, op.value);
-                    break;
-                }
-                case batch_op_kind::erase: {
-                    telemetry::prof::op_scope prof_op(telemetry::trace_op::erase,
-                                                      telemetry::key_hash(op.key));
-                    out[idx].ok = erase_at(c, op.key);
-                    if (out[idx].ok) erased = &op.key;
-                    break;
-                }
-            }
-        }
+        sorted_pass(
+            ops, n, out, c, [ops](std::uint32_t i) -> const Key& { return ops[i].key; },
+            [this](cursor& cur, std::uint32_t, bool same_key_erased) {
+                if (same_key_erased) list_.first(cur);
+            },
+            [](batch_op_kind, bool) {});
     }
 
     /// Batched conveniences over apply_batch; results in input order.
@@ -201,14 +159,7 @@ public:
         LFLL_TRACE_SPAN(telemetry::trace_op::find, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
                                           telemetry::key_hash(key));
-        std::optional<Value> out;
-        list_.lookup_from(
-            list_.head(), [this, &key](const value_type& kv) { return cmp_(kv.first, key); },
-            [&](const value_type& v, std::uint64_t /*born*/, std::uint64_t dead) {
-                if (!cmp_(key, v.first) && dead == rq::kInfTs) out.emplace(v.second);
-            },
-            [this] { return rq_.now(); });
-        return out;
+        return lookup(list_.head(), key);
     }
 
     bool contains(const Key& key) { return find(key).has_value(); }
@@ -252,11 +203,15 @@ public:
     /// as of one single point in time (the timestamp draw). Sorted by
     /// key, each key at most once.
     std::vector<std::pair<Key, Value>> range_query(const Key& lo, const Key& hi) {
-        return collect(&lo, &hi);
+        return collect([&](const Key& k) { return cmp_(k, lo); },
+                       [&](const Key& k) { return !cmp_(k, hi); });
     }
 
     /// Linearizable whole-map snapshot (range_query over everything).
-    std::vector<std::pair<Key, Value>> snapshot() { return collect(nullptr, nullptr); }
+    std::vector<std::pair<Key, Value>> snapshot() {
+        const auto none = [](const Key&) { return false; };
+        return collect(none, none);
+    }
 
     /// Removes every element via the erase protocol. Linearizes per
     /// deletion, not as one atomic sweep; concurrent inserts may survive.
@@ -280,6 +235,84 @@ public:
     list_type& list() noexcept { return list_; }
 
 private:
+    // The split-ordered map is a bucket directory over this map (keyed by
+    // (split-order key, key)): it drives the protocol steps below from
+    // its bucket dummies instead of First.
+    template <typename, typename, typename, typename, typename>
+    friend class split_ordered_map;
+
+    /// The read-only lookup behind find(), walking from `start` (borrowed,
+    /// as in valois_list::lookup_from): First for find(), a bucket dummy
+    /// for split_ordered_map::find().
+    std::optional<Value> lookup(node* start, const Key& key) {
+        std::optional<Value> out;
+        list_.lookup_from(
+            start, [this, &key](const value_type& kv) { return cmp_(kv.first, key); },
+            [&](const value_type& v, std::uint64_t /*born*/, std::uint64_t dead) {
+                if (!cmp_(key, v.first) && dead == rq::kInfTs) out.emplace(v.second);
+            },
+            [this] { return rq_.now(); });
+        return out;
+    }
+
+    /// The sorted batch pass behind apply_batch, on cursor `c`: stable-
+    /// sorts the ops by key_of(i), then serves them in that order. Before
+    /// each sub-op, anchor(c, i, same_key_erased) may reposition the
+    /// cursor; same_key_erased says the previous sub-op erased this very
+    /// key, which can leave the cursor past a live re-incarnation of it
+    /// (unlink_marked walks the cluster by identity), so the caller must
+    /// re-anchor. After each insert/erase, done(kind, ok) runs inside
+    /// the sub-op's profiler scope.
+    template <typename OpKey, typename KeyOf, typename Anchor, typename Done>
+    void sorted_pass(const batch_op<OpKey, Value>* ops, std::size_t n,
+                     batch_result<Value>* out, cursor& c, KeyOf key_of, Anchor anchor,
+                     Done done) {
+        std::vector<std::uint32_t> order(n);
+        for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
+        std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+            return cmp_(key_of(a), key_of(b));
+        });
+        const Key* erased = nullptr;  // key of the previous sub-op, if it erased
+        for (std::uint32_t idx : order) {
+            const batch_op<OpKey, Value>& op = ops[idx];
+            const Key& key = key_of(idx);
+            // The cursor-resume handoff between sub-ops: a preemption here
+            // lets concurrent mutators restructure the neighbourhood the
+            // resumed seek starts from.
+            testing_hooks::chaos_point(sched::step_kind::batch_drain);
+            anchor(c, idx, erased != nullptr && !cmp_(*erased, key) && !cmp_(key, *erased));
+            erased = nullptr;
+            switch (op.kind) {
+                case batch_op_kind::get: {
+                    telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
+                                                      telemetry::key_hash(op.key));
+                    if (find_from(key, c)) {
+                        out[idx].ok = true;
+                        out[idx].value.emplace((*c).second);
+                    } else {
+                        out[idx].ok = false;
+                    }
+                    break;
+                }
+                case batch_op_kind::insert: {
+                    telemetry::prof::op_scope prof_op(telemetry::trace_op::insert,
+                                                      telemetry::key_hash(op.key));
+                    out[idx].ok = insert_at(c, key, op.value);
+                    done(op.kind, out[idx].ok);
+                    break;
+                }
+                case batch_op_kind::erase: {
+                    telemetry::prof::op_scope prof_op(telemetry::trace_op::erase,
+                                                      telemetry::key_hash(op.key));
+                    out[idx].ok = erase_at(c, key);
+                    done(op.kind, out[idx].ok);
+                    if (out[idx].ok) erased = &key;
+                    break;
+                }
+            }
+        }
+    }
+
     /// Insert protocol body, resuming the seek from wherever `c` stands
     /// (a fresh cursor or the previous batch sub-op's landing cell). On
     /// success the cursor lands ON the inserted cell so a later equal-key
@@ -400,14 +433,19 @@ private:
         }
     }
 
-    /// Shared body of range_query()/snapshot(). Null bounds are open.
-    std::vector<std::pair<Key, Value>> collect(const Key* lo, const Key* hi) {
+    /// Shared body of range_query()/snapshot() and the split-ordered
+    /// map's range_query: one stamped walk plus the victim hand-offs,
+    /// keeping the keys that neither skip(k) nor stop(k) — stop(k) also
+    /// ends the walk, so only a filter in key order may return true from
+    /// it. Sorted by key, each key at most once.
+    template <typename Skip, typename Stop>
+    std::vector<std::pair<Key, Value>> collect(Skip skip, Stop stop) {
         const auto tk = rq_.begin();
         std::vector<std::pair<Key, Value>> out;
         list_.snapshot_scan([&](const value_type& v, std::uint64_t born,
                                 std::uint64_t dead) {
-            if (lo != nullptr && cmp_(v.first, *lo)) return true;
-            if (hi != nullptr && !cmp_(v.first, *hi)) return false;  // sorted: stop
+            if (skip(v.first)) return true;
+            if (stop(v.first)) return false;  // sorted: stop
             if (born != 0 && born <= tk.t && tk.t < dead) {
                 out.emplace_back(v.first, v.second);
             }
@@ -415,8 +453,7 @@ private:
         });
         bool merged = false;
         rq_.end(tk, [&](const rq_victim& v) {
-            if (lo != nullptr && cmp_(v.key, *lo)) return;
-            if (hi != nullptr && !cmp_(v.key, *hi)) return;
+            if (skip(v.key) || stop(v.key)) return;
             if (v.born > tk.t || tk.t >= v.dead) return;  // not alive at t
             out.emplace_back(v.key, v.value);
             merged = true;

@@ -25,10 +25,19 @@
 //                bucket's entries in the SAME sorted list a from-head
 //                walk would traverse.
 //
+// The protocol itself is not repeated here: the list IS a
+// sorted_list_map keyed by (split-order key, key), ordered by the
+// split-order key first and then by the user Compare, so hash collisions
+// tie-break by key. Dummies carry (reversed bucket index, Key{}); their
+// split-order key is even and every entry's odd, so the composite order
+// never mixes the two. This header keeps only what is split-order
+// specific: hashing, the bucket directory with its lazy splits, the
+// resize policy, and filtering dummies out of whole-map reads.
+//
 // Linearization: insert/erase/find linearize at exactly the underlying
 // list's CAS points (Figs. 9-10 / the find's traversal read), precisely
-// as in sorted_list_map — dummies are payload cells the map-level
-// operations skip, and the bucket directory only decides where a search
+// as in sorted_list_map — they ARE its protocol steps, started from a
+// bucket dummy. The bucket directory only decides where a search
 // STARTS, never what it observes. The bucket-count CAS orders no
 // operation: an op that read the old count starts one dummy earlier and
 // walks the identical sorted suffix. Hence "no stop-the-world": there is
@@ -38,10 +47,8 @@
 // hazard / epoch); dummies are never deleted, so bucket shortcuts stay
 // valid under every policy (each slot holds a counted reference).
 //
-// Constraints vs hash_map: Key and Value must be default-constructible
-// (dummy cells carry a default payload). hash_map remains the
-// compile-time fixed-size fallback with the identical public API
-// (insert/erase/find/contains/for_each/size_slow/bucket_count).
+// Constraints vs the fixed §4.1 hash_map: Key and Value must be
+// default-constructible (dummy cells carry a default payload).
 #pragma once
 
 #include <algorithm>
@@ -56,12 +63,10 @@
 #include <utility>
 #include <vector>
 
-#include "lfll/core/list.hpp"
-#include "lfll/core/rq.hpp"
 #include "lfll/dict/batch.hpp"
+#include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/primitives/backoff.hpp"
 #include "lfll/primitives/cacheline.hpp"
-#include "lfll/primitives/instrument.hpp"
 #include "lfll/primitives/test_hooks.hpp"
 #include "lfll/telemetry/metrics.hpp"
 #include "lfll/telemetry/profiler.hpp"
@@ -135,17 +140,26 @@ public:
     using key_type = Key;
     using mapped_type = Value;
 
-    /// One list payload: the split-order key plus the user pair. Dummies
-    /// carry so with the low bit clear and a default-constructed pair.
-    struct entry {
+    /// The list's key: the split-order key plus the user key. Dummies
+    /// carry so with the low bit clear and a default-constructed key.
+    struct so_key {
         std::uint64_t so;
         Key key;
-        Value value;
     };
 
-    using list_type = valois_list<entry, Policy>;
-    using node = typename list_type::node;
-    using cursor = typename list_type::cursor;
+    /// Split-order key first; equal ones (hash collisions) tie-break by
+    /// the user order.
+    struct so_less {
+        Compare cmp;
+        bool operator()(const so_key& a, const so_key& b) const {
+            return a.so != b.so ? a.so < b.so : cmp(a.key, b.key);
+        }
+    };
+
+    using map_type = sorted_list_map<so_key, Value, so_less, Policy>;
+    using list_type = typename map_type::list_type;
+    using node = typename map_type::node;
+    using cursor = typename map_type::cursor;
     using config = split_ordered_config;
 
     explicit split_ordered_map(std::size_t initial_buckets = 16,
@@ -160,7 +174,7 @@ public:
           min_load_(cfg.min_load),
           max_buckets_(cfg.max_buckets),
           check_mask_(cfg.resize_check_period <= 1 ? 0 : cfg.resize_check_period - 1),
-          list_(cfg.capacity_hint) {
+          map_(cfg.capacity_hint, so_less{cmp}) {
         std::size_t n = 1;
         while (n < cfg.initial_buckets) n <<= 1;
         initial_buckets_ = n;
@@ -195,7 +209,7 @@ public:
             if (seg == nullptr) continue;
             const std::size_t len = segment_len(s);
             for (std::size_t i = 0; i < len; ++i) {
-                list_.pool().unref(seg[i].load(std::memory_order_relaxed));
+                pool().unref(seg[i].load(std::memory_order_relaxed));
             }
             delete[] seg;
         }
@@ -205,7 +219,7 @@ public:
     split_ordered_map& operator=(const split_ordered_map&) = delete;
 
     /// Retry backoff (§2.1), as in sorted_list_map; bench_e8 ablates it.
-    void set_backoff(backoff::config cfg) noexcept { backoff_cfg_ = cfg; }
+    void set_backoff(backoff::config cfg) noexcept { map_.set_backoff(cfg); }
 
     bool insert(const Key& key, Value value) {
         LFLL_TRACE_SPAN(telemetry::trace_op::insert, telemetry::key_hash(key));
@@ -214,7 +228,9 @@ public:
         const std::uint64_t h = hash_of(key);
         cursor c;
         anchor(h, c);
-        return insert_at_so(c, so_detail::so_regular(h), key, std::move(value));
+        const bool ok = map_.insert_at(c, so_key{so_detail::so_regular(h), key}, std::move(value));
+        tick(batch_op_kind::insert, ok);
+        return ok;
     }
 
     bool erase(const Key& key) {
@@ -224,82 +240,43 @@ public:
         const std::uint64_t h = hash_of(key);
         cursor c;
         anchor(h, c);
-        return erase_at_so(c, so_detail::so_regular(h), key);
+        // so has its low bit set, so a match can never be a dummy:
+        // bucket sentinels are structurally undeletable here.
+        const bool ok = map_.erase_at(c, so_key{so_detail::so_regular(h), key});
+        tick(batch_op_kind::erase, ok);
+        return ok;
     }
 
-    /// Executes `n` independent ops as a split-order-sorted cursor pass,
-    /// binned into bucket runs: ops are stable-sorted by (split-order
-    /// key, key), the cursor re-anchors at a bucket's dummy when the run
-    /// changes and RESUMES within a run. The bucket binning samples the
-    /// mask once — purely a perf heuristic: all entries live in the one
-    /// so-sorted list, so a concurrent resize only costs an extra
-    /// re-anchor, never correctness. Results land at each op's original
-    /// index; every sub-op keeps its individual linearization point and
-    /// its own load-factor tick (see batch.hpp / sorted_list_map).
+    /// Executes `n` independent ops as sorted_list_map's sorted cursor
+    /// pass over (split-order key, key), binned into bucket runs: the
+    /// cursor re-anchors at a bucket's dummy when the run changes (or
+    /// after a same-key erase) and RESUMES within a run. The bucket
+    /// binning samples the mask once — purely a perf heuristic: all
+    /// entries live in the one so-sorted list, so a concurrent resize
+    /// only costs an extra re-anchor, never correctness. Results land at
+    /// each op's original index; every sub-op keeps its individual
+    /// linearization point and its own load-factor tick (see batch.hpp).
     void apply_batch(const batch_op<Key, Value>* ops, std::size_t n,
                      batch_result<Value>* out) {
         if (n == 0) return;
-        std::vector<std::uint64_t> hs(n);
-        std::vector<std::uint64_t> sos(n);
+        std::vector<so_key> keys;
+        keys.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
-            hs[i] = hash_of(ops[i].key);
-            sos[i] = so_detail::so_regular(hs[i]);
+            keys.push_back(so_key{so_detail::so_regular(hash_of(ops[i].key)), ops[i].key});
         }
-        std::vector<std::uint32_t> order(n);
-        for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
-        // (so, key) mirrors the list's sort order (find_from_so's
-        // predicate); stable keeps same-key ops in submission order.
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::uint32_t a, std::uint32_t b) {
-                             if (sos[a] != sos[b]) return sos[a] < sos[b];
-                             return cmp_(ops[a].key, ops[b].key);
-                         });
         const std::size_t m = mask();
-        cursor c;
         std::size_t run_bucket = ~std::size_t{0};
-        const Key* erased = nullptr;  // key of the previous sub-op, if it erased
-        for (std::uint32_t idx : order) {
-            const batch_op<Key, Value>& op = ops[idx];
-            testing_hooks::chaos_point(sched::step_kind::batch_drain);
-            const std::size_t b = hs[idx] & m;
-            // As in sorted_list_map::apply_batch: an erase can leave the
-            // cursor past a live re-incarnation of its key, so a same-key
-            // sub-op re-anchors at the bucket dummy.
-            if (erased != nullptr && !cmp_(*erased, op.key) && !cmp_(op.key, *erased)) {
-                run_bucket = ~std::size_t{0};
-            }
-            erased = nullptr;
-            if (b != run_bucket) {
-                anchor(hs[idx], c);  // new bucket run: jump to its dummy
-                run_bucket = b;
-            }
-            switch (op.kind) {
-                case batch_op_kind::get: {
-                    telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
-                                                      telemetry::key_hash(op.key));
-                    if (find_from_so(sos[idx], op.key, c)) {
-                        out[idx].ok = true;
-                        out[idx].value.emplace((*c).value);
-                    } else {
-                        out[idx].ok = false;
-                    }
-                    break;
-                }
-                case batch_op_kind::insert: {
-                    telemetry::prof::op_scope prof_op(telemetry::trace_op::insert,
-                                                      telemetry::key_hash(op.key));
-                    out[idx].ok = insert_at_so(c, sos[idx], op.key, op.value);
-                    break;
-                }
-                case batch_op_kind::erase: {
-                    telemetry::prof::op_scope prof_op(telemetry::trace_op::erase,
-                                                      telemetry::key_hash(op.key));
-                    out[idx].ok = erase_at_so(c, sos[idx], op.key);
-                    if (out[idx].ok) erased = &op.key;
-                    break;
-                }
-            }
-        }
+        cursor c;
+        map_.sorted_pass(
+            ops, n, out, c, [&keys](std::uint32_t i) -> const so_key& { return keys[i]; },
+            [&](cursor& cur, std::uint32_t i, bool same_key_erased) {
+                // Reversing so gives back the hash's low (bucket) bits.
+                const std::uint64_t h = so_detail::bit_reverse(keys[i].so);
+                if ((h & m) == run_bucket && !same_key_erased) return;
+                anchor(h, cur);  // new bucket run: jump to its dummy
+                run_bucket = h & m;
+            },
+            [this](batch_op_kind kind, bool ok) { tick(kind, ok); });
     }
 
     /// Batched conveniences over apply_batch; results in input order.
@@ -322,19 +299,7 @@ public:
         telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
                                           telemetry::key_hash(key));
         const std::uint64_t h = hash_of(key);
-        const std::uint64_t so = so_detail::so_regular(h);
-        std::optional<Value> out;
-        list_.lookup_from(
-            bucket_node(h & mask()),
-            [this, so, &key](const entry& e) {  // colliding hashes tie-break by key
-                return e.so != so ? e.so < so : cmp_(e.key, key);
-            },
-            [&](const entry& e, std::uint64_t /*born*/, std::uint64_t dead) {
-                // Cluster order: a live incarnation comes first.
-                if (e.so == so && !cmp_(key, e.key) && dead == rq::kInfTs) out.emplace(e.value);
-            },
-            [this] { return rq_.now(); });
-        return out;
+        return map_.lookup(bucket_node(h & mask()), so_key{so_detail::so_regular(h), key});
     }
 
     bool contains(const Key& key) { return find(key).has_value(); }
@@ -343,9 +308,8 @@ public:
     /// split-key order (NOT key order). Concurrent-safe, like any scan.
     template <typename F>
     void for_each(F&& f) {
-        list_.scan([&](const entry& e, std::uint64_t /*born*/, std::uint64_t dead) {
-            if (!so_detail::is_dummy_key(e.so) && dead == rq::kInfTs) f(e.key, e.value);
-            return true;
+        map_.for_each([&](const so_key& k, const Value& v) {
+            if (!so_detail::is_dummy_key(k.so)) f(k.key, v);
         });
     }
 
@@ -361,20 +325,18 @@ public:
     /// cannot split the snapshot. Costs a full-list walk regardless of
     /// range width (split order is not key order). Sorted by key.
     std::vector<std::pair<Key, Value>> range_query(const Key& lo, const Key& hi) {
-        return collect(&lo, &hi);
+        return query([&](const Key& k) { return cmp_(k, lo) || !cmp_(k, hi); });
     }
 
     /// Linearizable whole-map snapshot.
-    std::vector<std::pair<Key, Value>> snapshot() { return collect(nullptr, nullptr); }
+    std::vector<std::pair<Key, Value>> snapshot() {
+        return query([](const Key&) { return false; });
+    }
 
     /// Quiescent-only exact element count (dummies excluded).
     std::size_t size_slow() const {
         std::size_t n = 0;
-        for (const node* p = list_.head()->next.load(std::memory_order_acquire);
-             p != nullptr && !p->is_tail();
-             p = p->next.load(std::memory_order_acquire)) {
-            if (p->is_cell() && !so_detail::is_dummy_key(p->value().so)) ++n;
-        }
+        for_each([&n](const Key&, const Value&) { ++n; });
         return n;
     }
 
@@ -403,9 +365,9 @@ public:
         return dummies_.load(std::memory_order_relaxed);
     }
 
-    list_type& list() noexcept { return list_; }
-    typename list_type::pool_type& pool() noexcept { return list_.pool(); }
-    const typename list_type::pool_type& pool() const noexcept { return list_.pool(); }
+    list_type& list() noexcept { return map_.list_; }
+    typename list_type::pool_type& pool() noexcept { return map_.list_.pool(); }
+    const typename list_type::pool_type& pool() const noexcept { return map_.list_.pool(); }
 
     /// Visits every published bucket shortcut as (index, dummy node).
     /// Quiescent-only; the §5 audits use it to account for the one
@@ -476,14 +438,15 @@ private:
     }
 
     void init_bucket_zero() {
-        cursor c(list_);
-        node* q = list_.make_cell(entry{so_detail::so_dummy(0), Key{}, Value{}});
-        node* a = list_.make_aux();
-        const bool ok = list_.try_insert(c, q, a);  // empty list: cannot fail
+        list_type& l = list();
+        cursor c(l);
+        node* q = l.make_cell(so_key{so_detail::so_dummy(0), Key{}}, Value{});
+        node* a = l.make_aux();
+        const bool ok = l.try_insert(c, q, a);  // empty list: cannot fail
         assert(ok);
         (void)ok;
-        rq_.stamp(q->born_ts);  // see init_bucket
-        list_.release_node(a);
+        map_.rq_.stamp(q->born_ts);  // see init_bucket
+        l.release_node(a);
         // q's alloc reference becomes slot 0's long-held reference.
         slot_for(0).store(q, std::memory_order_release);
         dummies_.fetch_add(1, std::memory_order_relaxed);
@@ -504,229 +467,93 @@ private:
     /// the parent bucket's dummy (recursion depth <= log2(buckets)), then
     /// publish the shortcut. Fully lock-free: every step is a plain list
     /// operation or a single CAS, and losers adopt the winner's work.
+    /// Not sorted_list_map::insert_at: the dummy needs no version-publish
+    /// window, and the cursor is released before the shortcut publish.
     node* init_bucket(std::size_t b, slot_type& slot) {
         telemetry::prof::phase_scope prof_phase(telemetry::prof::phase::bucket_split);
         testing_hooks::chaos_point(sched::step_kind::resize);  // split begins
+        list_type& l = list();
         cursor c;
         if (b == 0) {
-            c = cursor(list_);  // recursion base (pre-initialized eagerly)
+            c = cursor(l);  // recursion base (pre-initialized eagerly)
         } else {
-            list_.seek(c, bucket_node(so_detail::parent_bucket(b)));
+            l.seek(c, bucket_node(so_detail::parent_bucket(b)));
         }
-        const std::uint64_t dso = so_detail::so_dummy(b);
+        const so_key dkey{so_detail::so_dummy(b), Key{}};
         node* q = nullptr;
         node* a = nullptr;
         node* d = nullptr;
-        backoff bo(backoff_cfg_);
+        backoff bo(map_.backoff_cfg_);
         for (;;) {
-            if (find_from_so(dso, Key{}, c)) {
+            if (map_.find_from(dkey, c)) {
                 // A concurrent splitter inserted it; adopt. The cursor's
                 // traversal protection covers taking the slot's count.
-                d = list_.pool().ref(c.target());
+                d = l.pool().ref(c.target());
                 if (q != nullptr) {
-                    list_.release_node(q);
-                    list_.release_node(a);
+                    l.release_node(q);
+                    l.release_node(a);
                 }
                 break;
             }
             if (q == nullptr) {
-                q = list_.make_cell(entry{dso, Key{}, Value{}});
-                a = list_.make_aux();
+                q = l.make_cell(dkey, Value{});
+                a = l.make_aux();
             }
             testing_hooks::chaos_point(sched::step_kind::resize);  // dummy insert
-            if (list_.try_insert(c, q, a)) {
+            if (l.try_insert(c, q, a)) {
                 // Stamped like any insert: a lookup landing on a linked
                 // cell still at born == 0 stops to stamp it, and dummies
                 // are where bucket walks end.
-                rq_.stamp(q->born_ts);
-                list_.release_node(a);
+                map_.rq_.stamp(q->born_ts);
+                l.release_node(a);
                 d = q;  // alloc reference becomes the slot's
                 dummies_.fetch_add(1, std::memory_order_relaxed);
                 g_dummies_->add(1);
                 break;
             }
             bo();
-            list_.update(c);
+            l.update(c);
         }
         c.reset();
         testing_hooks::chaos_point(sched::step_kind::resize);  // shortcut publish
         node* expected = nullptr;
         if (!slot.compare_exchange_strong(expected, d, std::memory_order_acq_rel,
                                           std::memory_order_acquire)) {
-            list_.pool().unref(d);  // lost the publish; the winner's stands
+            l.pool().unref(d);  // lost the publish; the winner's stands
             d = expected;
         }
         return d;
     }
 
     /// Positions c on the first entry of `h`'s bucket (or later).
-    void anchor(std::uint64_t h, cursor& c) { list_.seek(c, bucket_node(h & mask())); }
+    void anchor(std::uint64_t h, cursor& c) { list().seek(c, bucket_node(h & mask())); }
 
-    /// find_from in split order: seek forward for (so, key). Returns true
-    /// with c on the live match, else false with c on the first entry
-    /// sorting after it (the insertion position). Dummy targets (so even)
-    /// match on so alone — dummies are never tombstoned; regular targets
-    /// (so odd) tie-break hash collisions by key, and a tombstoned first
-    /// match reports absent (inserts land BEFORE the first exact match,
-    /// so a live incarnation would precede it).
-    bool find_from_so(std::uint64_t so, const Key& key, cursor& c) {
-        // Keep-going predicate for the batched seek: an entry sorts
-        // before (so, key) while its so is smaller, or — equal so,
-        // regular entry — while its key sorts before ours. seek_while
-        // stops on the first entry at or past the target (or Last); the
-        // match tests below mirror the per-cell loop this replaces.
-        list_.seek_while(c, [this, so, &key](const entry& e) {
-            if (e.so != so) return e.so < so;
-            if (so_detail::is_dummy_key(so)) return false;  // dummy: so is identity
-            return cmp_(e.key, key);
-        });
-        if (c.at_end()) return false;
-        const entry& e = *c;
-        if (e.so != so) return false;
-        if (so_detail::is_dummy_key(so)) return true;
-        if (cmp_(key, e.key) || cmp_(e.key, key)) return false;  // different key
-        return rq_.live(c.target());  // stamps a live match still at born == 0
-    }
-
-    /// Insert protocol body, resuming the seek from wherever `c` stands
-    /// (a fresh anchor or the previous batch sub-op's landing cell). On
-    /// success the cursor lands ON the inserted cell (a later equal-key
-    /// op in the same batch must observe it) and this op takes its own
-    /// size/load-factor tick.
-    bool insert_at_so(cursor& c, std::uint64_t so, const Key& key, Value value) {
-        node* q = nullptr;
-        node* a = nullptr;
-        backoff bo(backoff_cfg_);
-        for (;;) {
-            if (find_from_so(so, key, c)) {
-                if (q != nullptr) {
-                    list_.release_node(q);
-                    list_.release_node(a);
-                }
-                return false;
-            }
-            if (q == nullptr) {
-                q = list_.make_cell(entry{so, key, std::move(value)});
-                a = list_.make_aux();
-            }
-            if (list_.try_insert(c, q, a)) {
-                // Version-stamp AFTER the winning swing (see
-                // sorted_list_map: zero reads as "insert in flight").
-                rq_.stamp(q->born_ts);
-                testing_hooks::chaos_point(sched::step_kind::version_publish);
-                list_.release_node(a);
-                list_.land_on_inserted(c, q);
-                break;
-            }
-            {
-                telemetry::prof::phase_scope prof_retry(telemetry::prof::phase::cas_retry);
-                bo();
-                list_.update(c);
-            }
+    /// The resize tick after an insert or erase: a success moves the size
+    /// count. Every erase re-checks the load factor, misses included
+    /// (decay workloads are dominated by erase misses once keys drain);
+    /// an insert only when it linked a cell.
+    void tick(batch_op_kind kind, bool ok) {
+        if (ok) {
+            size_add(kind == batch_op_kind::insert ? 1 : -1);
+        } else if (kind == batch_op_kind::insert) {
+            return;
         }
-        size_add(1);
         maybe_resize();
-        return true;
     }
 
-    /// Erase protocol body, resuming from `c`; every path ticks the
-    /// load-factor check (decay workloads are dominated by erase misses).
-    bool erase_at_so(cursor& c, std::uint64_t so, const Key& key) {
-        // so has its low bit set, so a match can never be a dummy:
-        // bucket sentinels are structurally undeletable here.
-        if (!find_from_so(so, key, c)) {
-            // Still tick the load-factor check: decay workloads are
-            // dominated by erase misses once keys drain, and shrink used
-            // to stall entirely because only *successful* updates ever
-            // re-checked the load (D1 residual).
-            maybe_resize();
-            return false;
-        }
-        node* victim = c.target();
-        const std::uint64_t d = rq_.now();
-        testing_hooks::chaos_point(sched::step_kind::version_publish);
-        std::uint64_t expected = rq::kInfTs;
-        if (!victim->dead_ts.compare_exchange_strong(expected, d,
-                                                     std::memory_order_seq_cst,
-                                                     std::memory_order_acquire)) {
-            // Lost the mark race: a concurrent erase owns this cell.
-            instrument::tls().delete_retries++;
-            maybe_resize();
-            return false;
-        }
-        if (rq_.armed()) {
-            const entry& e = victim->value();
-            rq_.hand_off(rq_victim{e.key, e.value,
-                                   victim->born_ts.load(std::memory_order_acquire), d});
-        }
-        unlink_marked(so, key, victim, c);
-        // Compact the aux chain the unlink left behind (see the
-        // sorted_list_map::erase_at note): a single-pass batch makes no
-        // later traversal through this neighbourhood, and try_delete's
-        // own compaction is best-effort under deferred policies.
-        list_.update(c);
-        size_add(-1);
-        maybe_resize();
-        return true;
-    }
-
-    bool same_entry_key(const entry& e, std::uint64_t so, const Key& key) const {
-        return e.so == so && !cmp_(e.key, key) && !cmp_(key, e.key);
-    }
-
-    /// Physically unlink a cell this thread tombstoned (see
-    /// sorted_list_map::unlink_marked — identical identity-walk argument,
-    /// with (so, key) as the cluster coordinate).
-    void unlink_marked(std::uint64_t so, const Key& key, node* victim, cursor& c) {
-        backoff bo(backoff_cfg_);
-        for (;;) {
-            if (!c.at_end() && c.target() == victim) {
-                if (list_.try_delete(c)) return;
-                {
-                    telemetry::prof::phase_scope prof_retry(
-                        telemetry::prof::phase::cas_retry);
-                    bo();
-                    list_.update(c);
-                }
-                continue;
-            }
-            find_from_so(so, key, c);
-            while (!c.at_end() && same_entry_key(*c, so, key) && c.target() != victim) {
-                if (!list_.next(c)) break;
-            }
-            if (c.at_end() || !same_entry_key(*c, so, key)) return;  // already unlinked
-        }
-    }
-
-    /// Shared body of range_query()/snapshot(). Null bounds are open.
-    /// One stamped walk over the shared list (dummies and in-flight
-    /// inserts excluded by born == 0), merged with the victim hand-offs,
-    /// then key-sorted and deduped.
-    std::vector<std::pair<Key, Value>> collect(const Key* lo, const Key* hi) {
-        const auto tk = rq_.begin();
+    /// Shared body of range_query()/snapshot(): sorted_list_map's stamped
+    /// walk, filtered on the user key inside the walk (split order is not
+    /// key order, so nothing stops it early), then re-sorted by key.
+    template <typename Skip>
+    std::vector<std::pair<Key, Value>> query(Skip skip) {
+        auto hits = map_.collect(
+            [&](const so_key& k) { return so_detail::is_dummy_key(k.so) || skip(k.key); },
+            [](const so_key&) { return false; });
         std::vector<std::pair<Key, Value>> out;
-        list_.snapshot_scan([&](const entry& e, std::uint64_t born, std::uint64_t dead) {
-            if (so_detail::is_dummy_key(e.so)) return true;
-            if (lo != nullptr && cmp_(e.key, *lo)) return true;
-            if (hi != nullptr && !cmp_(e.key, *hi)) return true;  // NOT sorted by key
-            if (born != 0 && born <= tk.t && tk.t < dead) {
-                out.emplace_back(e.key, e.value);
-            }
-            return true;
-        });
-        rq_.end(tk, [&](const rq_victim& v) {
-            if (lo != nullptr && cmp_(v.key, *lo)) return;
-            if (hi != nullptr && !cmp_(v.key, *hi)) return;
-            if (v.born > tk.t || tk.t >= v.dead) return;  // not alive at t
-            out.emplace_back(v.key, v.value);
-        });
+        out.reserve(hits.size());
+        for (auto& [k, v] : hits) out.emplace_back(std::move(k.key), std::move(v));
         std::sort(out.begin(), out.end(),
-                  [this](const auto& a, const auto& b) { return cmp_(a.first, b.first); });
-        out.erase(std::unique(out.begin(), out.end(),
-                              [this](const auto& a, const auto& b) {
-                                  return !cmp_(a.first, b.first) && !cmp_(b.first, a.first);
-                              }),
-                  out.end());
+                  [this](const auto& x, const auto& y) { return cmp_(x.first, y.first); });
         return out;
     }
 
@@ -789,17 +616,8 @@ private:
         std::atomic<std::int64_t> v{0};
     };
 
-    /// Victim record handed to in-flight range queries at unlink time.
-    struct rq_victim {
-        Key key;
-        Value value;
-        std::uint64_t born;
-        std::uint64_t dead;
-    };
-
     Hash hash_;
     Compare cmp_;
-    backoff::config backoff_cfg_{};
     double max_load_;
     double min_load_;
     std::size_t max_buckets_;
@@ -817,8 +635,7 @@ private:
     std::atomic<std::uint64_t> dummies_{0};
     std::atomic<slot_type*> segments_[kMaxSegments] = {};
     size_stripe size_[kSizeStripes];
-    list_type list_;
-    rq::registry<rq_victim> rq_;
+    map_type map_;
 };
 
 }  // namespace lfll

@@ -12,7 +12,9 @@
 //     mid-batch must only cost re-anchors, never a wrong result;
 //   * two batches racing each other (drain-vs-drain) over one key range,
 //     where each batch's insert hands its cursor the freshly linked
-//     cell (land_on_inserted) while the other batch tombstones it.
+//     cell (land_on_inserted) while the other batch tombstones it;
+//   * the same-key re-anchor: a batch erases a key and then re-inserts
+//     it while a concurrent insert relinks it, on both maps.
 //
 // Pinned seeds replay fixed schedules through the deterministic
 // scheduler — replay any one with LFLL_SCHED_REPLAY=<seed>.
@@ -22,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <vector>
@@ -32,6 +35,7 @@
 #include "lfll/reclaim/epoch_policy.hpp"
 #include "lfll/reclaim/hazard_policy.hpp"
 #include "lfll/sched/session.hpp"
+#include "lfll/telemetry/op_counters.hpp"
 
 namespace {
 
@@ -201,6 +205,73 @@ void run_drain_vs_resize(std::uint64_t seed) {
                       << " — replay with LFLL_SCHED_REPLAY=" << seed;
 }
 
+/// Same-key re-anchor: the batch [erase k, insert k, get k] runs while a
+/// concurrent inserter relinks k. An inserter that lands its cell in
+/// front of the tombstoned victim makes the erase's unlink fail once and
+/// walk the key's cluster by identity, past the live re-incarnation;
+/// the cursor then rests BEHIND it, and only the re-anchor (First, or
+/// the bucket dummy) keeps the batch's insert from linking a second
+/// live k. Oracle: k starts present and nobody else erases it, so the
+/// erase wins and exactly one later insert of k does. Returns whether
+/// the schedule hit the window: the relink won and the batch's unlink
+/// retried.
+template <typename Map>
+bool run_same_key_reanchor(Map& map, std::uint64_t seed) {
+    constexpr int k = 5;
+    for (int key = 0; key < 10; ++key) map.insert(key, 100 + key);
+    const std::vector<batch_op<int, int>> ops = {
+        {batch_op_kind::erase, k, 0}, {batch_op_kind::insert, k, 300 + k},
+        {batch_op_kind::get, k, 0}};
+    std::vector<batch_result<int>> out(ops.size());
+    std::uint64_t unlink_retries = 0;
+    int relinked = 0;
+    std::vector<std::function<void()>> bodies;
+    bodies.push_back([&] {
+        const std::uint64_t before = instrument::tls().delete_retries.load();
+        map.apply_batch(ops.data(), ops.size(), out.data());
+        unlink_retries = instrument::tls().delete_retries.load() - before;
+    });
+    bodies.push_back([&] {
+        for (int i = 0; i < 3; ++i) relinked += map.insert(k, 200 + k) ? 1 : 0;
+    });
+    sched::run(pinned(seed), std::move(bodies));
+    EXPECT_TRUE(out[0].ok) << "seed " << seed;
+    EXPECT_EQ(relinked + (out[1].ok ? 1 : 0), 1)
+        << "k must be inserted exactly once after the erase, seed " << seed;
+    const int want = relinked == 1 ? 200 + k : 300 + k;
+    EXPECT_TRUE(out[2].ok) << "seed " << seed;
+    EXPECT_EQ(out[2].value, std::optional<int>(want)) << "seed " << seed;
+    EXPECT_EQ(map.find(k), std::optional<int>(want)) << "seed " << seed;
+    EXPECT_EQ(map.size_slow(), 10u) << "seed " << seed;
+    return relinked == 1 && unlink_retries > 0;
+}
+
+template <typename Policy>
+void run_same_key_reanchor_both(std::initializer_list<std::uint64_t> sorted_seeds,
+                                std::initializer_list<std::uint64_t> split_seeds) {
+    for (std::uint64_t seed : sorted_seeds) {
+        sorted_list_map<int, int, std::less<int>, Policy> map(64);
+        EXPECT_TRUE(run_same_key_reanchor(map, seed))
+            << "sorted_list_map: schedule missed the re-anchor window, seed " << seed;
+        map.list().pool().flush_deferred_releases();
+        map.list().pool().drain_retired();
+        const audit_report r = audit_list(map.list());
+        EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed;
+    }
+    for (std::uint64_t seed : split_seeds) {
+        split_ordered_map<int, int, std::hash<int>, std::less<int>, Policy> map(4, 64);
+        EXPECT_TRUE(run_same_key_reanchor(map, seed))
+            << "split_ordered_map: schedule missed the re-anchor window, seed " << seed;
+        map.list().pool().flush_deferred_releases();
+        map.list().pool().drain_retired();
+        std::map<const typename decltype(map)::node*, std::size_t> external;
+        map.for_each_bucket_slot(
+            [&](std::size_t, typename decltype(map)::node* d) { external[d] += 1; });
+        const audit_report r = audit_list(map.list(), external);
+        EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed;
+    }
+}
+
 TEST(BatchSched, PinnedSeed_DrainVsErase_Refcount) {
     for (std::uint64_t seed : {3ull, 8ull, 17ull, 29ull, 41ull}) {
         run_drain_vs_erase<valois_refcount>(seed);
@@ -247,6 +318,18 @@ TEST(BatchSched, PinnedSeed_DrainVsResize_Epoch) {
     for (std::uint64_t seed : {10ull, 15ull}) {
         run_drain_vs_resize<epoch_policy>(seed);
     }
+}
+
+// Seeds picked by a probe: each hits the drift window under its policy,
+// and each fails the oracle with the re-anchor removed.
+TEST(BatchSched, PinnedSeed_SameKeyReanchor_Refcount) {
+    run_same_key_reanchor_both<valois_refcount>({288, 456, 863}, {692, 863, 942});
+}
+TEST(BatchSched, PinnedSeed_SameKeyReanchor_Hazard) {
+    run_same_key_reanchor_both<hazard_policy>({942, 1547}, {863, 1879});
+}
+TEST(BatchSched, PinnedSeed_SameKeyReanchor_Epoch) {
+    run_same_key_reanchor_both<epoch_policy>({1035, 1245, 1335}, {254, 303, 1245});
 }
 
 }  // namespace

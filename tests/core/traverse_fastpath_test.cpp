@@ -295,7 +295,7 @@ TEST(TraverseFastPath, LookupLandingTakesNoReference) {
         for (const auto* d : dummies) dummy_rc.push_back(d->refct.load());
         for (std::uint64_t k : {0ull, 5ull, 77ull, 127ull}) {
             const auto* cell = find_node(map.list(), [k](const auto& e) {
-                return (e.so & 1) != 0 && e.key == k;
+                return (e.first.so & 1) != 0 && e.first.key == k;
             });
             ASSERT_NE(cell, nullptr);
             const auto cell_rc = cell->refct.load();

@@ -1,10 +1,12 @@
 // Batched multi-op coverage (dict/batch.hpp + the maps' apply_batch)
 // across all three reclamation policies:
 //
-//   * semantics on one thread: results come back in INPUT order, same-key
-//     sub-ops resolve in submission order (stable sort), duplicate
-//     inserts inside one batch fail exactly like per-call duplicates,
-//     and a batched erase-then-erase of the same key fails the second op;
+//   * semantics on one thread, on the sorted map and the split-ordered
+//     map (also with every hash colliding): results come back in INPUT
+//     order, same-key sub-ops resolve in submission order (stable sort),
+//     duplicate inserts inside one batch fail exactly like per-call
+//     duplicates, a batched erase-then-erase of the same key fails the
+//     second op, and a mixed batch matches a serial std::map replay;
 //   * multi_get equivalence under churn: concurrent mutators recycle the
 //     odd keys while readers issue batched gets — every STABLE key must
 //     come back present with its canonical value, every churned key must
@@ -42,106 +44,132 @@ class MultiOpTest : public ::testing::Test {};
 using Policies = ::testing::Types<valois_refcount, hazard_policy, epoch_policy>;
 TYPED_TEST_SUITE(MultiOpTest, Policies);
 
+/// Quiescent §5 audit; a split-ordered map's bucket slots each hold one
+/// counted reference on their dummy, fed to the audit as external.
 template <typename Map>
 void quiesce_and_expect_clean_audit(Map& map) {
     map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
-    const audit_report r = audit_list(map.list());
-    EXPECT_TRUE(r.ok) << r.error;
-}
-
-template <typename Map>
-void quiesce_and_expect_clean_so_audit(Map& map) {
-    map.list().pool().flush_deferred_releases();
-    map.list().pool().drain_retired();
     std::map<const typename Map::node*, std::size_t> external;
-    map.for_each_bucket_slot(
-        [&](std::size_t, typename Map::node* d) { external[d] += 1; });
+    if constexpr (requires { map.bucket_count(); }) {
+        map.for_each_bucket_slot(
+            [&](std::size_t, typename Map::node* d) { external[d] += 1; });
+    }
     const audit_report r = audit_list(map.list(), external);
     EXPECT_TRUE(r.ok) << r.error;
 }
 
+/// Every hash collides: the split-ordered batch is ordered by its
+/// (split-order key, key) tie-break alone.
+struct colliding_hash {
+    std::size_t operator()(int) const noexcept { return 42; }
+};
+
+/// Runs `body` once per dictionary with a batched path: the flat sorted
+/// map, the split-ordered map, and a split-ordered map whose every hash
+/// collides.
+template <typename Policy, typename F>
+void for_each_batch_map(F&& body) {
+    {
+        SCOPED_TRACE("sorted_list_map");
+        sorted_list_map<int, int, std::less<int>, Policy> m(512);
+        body(m);
+    }
+    {
+        SCOPED_TRACE("split_ordered_map");
+        split_ordered_map<int, int, std::hash<int>, std::less<int>, Policy> m(8, 512);
+        body(m);
+    }
+    {
+        SCOPED_TRACE("split_ordered_map, colliding hash");
+        split_ordered_map<int, int, colliding_hash, std::less<int>, Policy> m(8, 512);
+        body(m);
+    }
+}
+
 TYPED_TEST(MultiOpTest, ResultsComeBackInInputOrder) {
-    sorted_list_map<int, int, std::less<int>, TypeParam> m(256);
-    // Deliberately unsorted, with a duplicate key: output must be
-    // positional regardless of the internal sorted pass.
-    const std::vector<std::pair<int, int>> kvs = {
-        {7, 70}, {1, 10}, {9, 90}, {1, 11}, {4, 40}};
-    const std::vector<bool> ins = m.multi_insert(kvs);
-    ASSERT_EQ(ins.size(), 5u);
-    EXPECT_TRUE(ins[0]);
-    EXPECT_TRUE(ins[1]);
-    EXPECT_TRUE(ins[2]);
-    EXPECT_FALSE(ins[3]) << "second insert of key 1 in the SAME batch must "
-                            "observe the first (submission order)";
-    EXPECT_TRUE(ins[4]);
-    EXPECT_EQ(m.size_slow(), 4u);
-    EXPECT_EQ(m.find(1), std::optional<int>(10));
+    for_each_batch_map<TypeParam>([](auto& m) {
+        // Deliberately unsorted, with a duplicate key: output must be
+        // positional regardless of the internal sorted pass.
+        const std::vector<std::pair<int, int>> kvs = {
+            {7, 70}, {1, 10}, {9, 90}, {1, 11}, {4, 40}};
+        const std::vector<bool> ins = m.multi_insert(kvs);
+        ASSERT_EQ(ins.size(), 5u);
+        EXPECT_TRUE(ins[0]);
+        EXPECT_TRUE(ins[1]);
+        EXPECT_TRUE(ins[2]);
+        EXPECT_FALSE(ins[3]) << "second insert of key 1 in the SAME batch must "
+                                "observe the first (submission order)";
+        EXPECT_TRUE(ins[4]);
+        EXPECT_EQ(m.size_slow(), 4u);
+        EXPECT_EQ(m.find(1), std::optional<int>(10));
 
-    const std::vector<int> keys = {9, 2, 1, 9, 7};
-    const auto got = m.multi_get(keys);
-    ASSERT_EQ(got.size(), 5u);
-    EXPECT_EQ(got[0], std::optional<int>(90));
-    EXPECT_FALSE(got[1].has_value());
-    EXPECT_EQ(got[2], std::optional<int>(10));
-    EXPECT_EQ(got[3], std::optional<int>(90));
-    EXPECT_EQ(got[4], std::optional<int>(70));
+        const std::vector<int> keys = {9, 2, 1, 9, 7};
+        const auto got = m.multi_get(keys);
+        ASSERT_EQ(got.size(), 5u);
+        EXPECT_EQ(got[0], std::optional<int>(90));
+        EXPECT_FALSE(got[1].has_value());
+        EXPECT_EQ(got[2], std::optional<int>(10));
+        EXPECT_EQ(got[3], std::optional<int>(90));
+        EXPECT_EQ(got[4], std::optional<int>(70));
 
-    const std::vector<int> dels = {1, 5, 1, 4};
-    const std::vector<bool> del = m.multi_erase(dels);
-    ASSERT_EQ(del.size(), 4u);
-    EXPECT_TRUE(del[0]);
-    EXPECT_FALSE(del[1]);
-    EXPECT_FALSE(del[2]) << "second erase of key 1 in the SAME batch must "
-                            "observe the first";
-    EXPECT_TRUE(del[3]);
-    EXPECT_EQ(m.size_slow(), 2u);
-    quiesce_and_expect_clean_audit(m);
+        const std::vector<int> dels = {1, 5, 1, 4};
+        const std::vector<bool> del = m.multi_erase(dels);
+        ASSERT_EQ(del.size(), 4u);
+        EXPECT_TRUE(del[0]);
+        EXPECT_FALSE(del[1]);
+        EXPECT_FALSE(del[2]) << "second erase of key 1 in the SAME batch must "
+                                "observe the first";
+        EXPECT_TRUE(del[3]);
+        EXPECT_EQ(m.size_slow(), 2u);
+        quiesce_and_expect_clean_audit(m);
+    });
 }
 
 TYPED_TEST(MultiOpTest, MixedBatchMatchesSerialReplay) {
     // One mixed apply_batch against a serial replay of the same ops on a
     // std::map oracle: identical outcomes op by op.
-    sorted_list_map<int, int, std::less<int>, TypeParam> m(512);
-    std::map<int, int> oracle;
-    for (int k = 0; k < 16; k += 2) {
-        m.insert(k, 1000 + k);
-        oracle[k] = 1000 + k;
-    }
-    std::vector<batch_op<int, int>> ops;
-    xorshift64 rng(0xBEEF);
-    for (int i = 0; i < 64; ++i) {
-        const int k = static_cast<int>(rng.next_below(24));
-        switch (rng.next_below(3)) {
-            case 0: ops.push_back({batch_op_kind::get, k, 0}); break;
-            case 1: ops.push_back({batch_op_kind::insert, k, 2000 + i}); break;
-            default: ops.push_back({batch_op_kind::erase, k, 0}); break;
+    for_each_batch_map<TypeParam>([](auto& m) {
+        std::map<int, int> oracle;
+        for (int k = 0; k < 16; k += 2) {
+            m.insert(k, 1000 + k);
+            oracle[k] = 1000 + k;
         }
-    }
-    std::vector<batch_result<int>> out(ops.size());
-    m.apply_batch(ops.data(), ops.size(), out.data());
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        const auto it = oracle.find(ops[i].key);
-        switch (ops[i].kind) {
-            case batch_op_kind::get:
-                EXPECT_EQ(out[i].ok, it != oracle.end()) << "op " << i;
-                if (it != oracle.end()) {
-                    EXPECT_EQ(out[i].value, std::optional<int>(it->second));
-                }
-                break;
-            case batch_op_kind::insert:
-                EXPECT_EQ(out[i].ok, it == oracle.end()) << "op " << i;
-                if (it == oracle.end()) oracle[ops[i].key] = ops[i].value;
-                break;
-            case batch_op_kind::erase:
-                EXPECT_EQ(out[i].ok, it != oracle.end()) << "op " << i;
-                if (it != oracle.end()) oracle.erase(it);
-                break;
+        std::vector<batch_op<int, int>> ops;
+        xorshift64 rng(0xBEEF);
+        for (int i = 0; i < 64; ++i) {
+            const int k = static_cast<int>(rng.next_below(24));
+            switch (rng.next_below(3)) {
+                case 0: ops.push_back({batch_op_kind::get, k, 0}); break;
+                case 1: ops.push_back({batch_op_kind::insert, k, 2000 + i}); break;
+                default: ops.push_back({batch_op_kind::erase, k, 0}); break;
+            }
         }
-    }
-    EXPECT_EQ(m.size_slow(), oracle.size());
-    for (const auto& [k, v] : oracle) EXPECT_EQ(m.find(k), std::optional<int>(v));
-    quiesce_and_expect_clean_audit(m);
+        std::vector<batch_result<int>> out(ops.size());
+        m.apply_batch(ops.data(), ops.size(), out.data());
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            const auto it = oracle.find(ops[i].key);
+            switch (ops[i].kind) {
+                case batch_op_kind::get:
+                    EXPECT_EQ(out[i].ok, it != oracle.end()) << "op " << i;
+                    if (it != oracle.end()) {
+                        EXPECT_EQ(out[i].value, std::optional<int>(it->second));
+                    }
+                    break;
+                case batch_op_kind::insert:
+                    EXPECT_EQ(out[i].ok, it == oracle.end()) << "op " << i;
+                    if (it == oracle.end()) oracle[ops[i].key] = ops[i].value;
+                    break;
+                case batch_op_kind::erase:
+                    EXPECT_EQ(out[i].ok, it != oracle.end()) << "op " << i;
+                    if (it != oracle.end()) oracle.erase(it);
+                    break;
+            }
+        }
+        EXPECT_EQ(m.size_slow(), oracle.size());
+        for (const auto& [k, v] : oracle) EXPECT_EQ(m.find(k), std::optional<int>(v));
+        quiesce_and_expect_clean_audit(m);
+    });
 }
 
 TYPED_TEST(MultiOpTest, MultiGetEquivalenceUnderChurn) {
@@ -279,7 +307,7 @@ TYPED_TEST(MultiOpTest, SplitOrderedBatchStormWithLiveResize) {
         EXPECT_EQ(v, 9000 + k);
     });
     EXPECT_EQ(m.size_slow(), live);
-    quiesce_and_expect_clean_so_audit(m);
+    quiesce_and_expect_clean_audit(m);
 }
 
 TYPED_TEST(MultiOpTest, ShardedBatchScattersAcrossShards) {

@@ -38,6 +38,17 @@ void audit_map(so_map<P>& m) {
     EXPECT_TRUE(r.ok) << r.error;
 }
 
+/// The list payload pair<const so_key, V> must cost no more node than a
+/// flat {so, key, value} record: kv-churn's resident set scales with
+/// the node size.
+struct flat_entry {
+    std::uint64_t so;
+    std::uint64_t key;
+    std::uint64_t value;
+};
+static_assert(sizeof(split_ordered_map<std::uint64_t, std::uint64_t>::node) ==
+              sizeof(valois_list<flat_entry>::node));
+
 template <typename P>
 struct SplitOrderedMap : ::testing::Test {};
 
@@ -220,8 +231,8 @@ TYPED_TEST(SplitOrderedMap, ShardedStoreRoutesAndAggregates) {
 
 // Non-typed odds and ends.
 
-TEST(SplitOrderedMapMisc, StringValuesAndKvMapAlias) {
-    kv_map<int, std::string> m(4, 16);
+TEST(SplitOrderedMapMisc, StringValues) {
+    split_ordered_map<int, std::string> m(4, 16);
     EXPECT_TRUE(m.insert(7, "seven"));
     EXPECT_EQ(m.find(7), "seven");
     EXPECT_TRUE(m.erase(7));
