@@ -24,7 +24,8 @@
 // aux (2), SafeRead the next cell (2), Release the old pre_cell and
 // pre_aux (2). The fast path cuts that per hop, and per segment of up
 // to kScanBatch cells, with these mechanisms (see DESIGN.md "Traversal
-// fast path"):
+// fast path"). One walker, walk(), runs them for every traversal:
+// scans, point lookups, mutator seeks and next().
 //
 //  1. Aux reference elision. The cursor's pre_aux is demoted to an
 //     UNREFERENCED hint under every policy: hops read the aux through
@@ -33,35 +34,34 @@
 //     of the predecessor's next (hop_over_aux below). Slabs never
 //     return to the OS, so a stale read is harmless; the validation
 //     only decides fast-commit vs slow-path.
-//  2. Hand-over-hand reference transfer. next() re-uses the target's
-//     existing reference as the new pre_cell reference instead of the
-//     copy+drop pair.
+//  2. Borrowed starts. A walk from head_ or from a bucket dummy (which
+//     the split map's directory slot pins, and which is never deleted)
+//     takes no reference on it; a cursor may hold such a pre_cell
+//     BORROWED (cursor::holds_pre_cell). Further along, each position
+//     the walk keeps carries exactly one reference, handed over
+//     hand-over-hand instead of by a copy+drop pair.
 //  3. Software prefetch of the hop-after-next while the current hop's
 //     validation retires.
-//  4. Batched scan hops (trivially-copyable payloads only): scan()
-//     crosses up to kScanBatch cells per protect by walking the chain
-//     with plain loads, snapshotting each payload seqlock-style, and
+//  4. Batched hops (trivially-copyable payloads only): a walk crosses
+//     up to kScanBatch cells per protect by walking the chain with
+//     plain loads, snapshotting each payload seqlock-style, and
 //     validating the whole segment with one incarnation sweep before
 //     any snapshot is surfaced (batch_hop below). Any mismatch discards
 //     the batch and falls back to the per-cell hop. Each scan ramps its
 //     segment cap 2, 4, 8, then kScanBatch, so a short scan does not
 //     read far past the cell where its visitor stops.
-//  5. Batched MUTATOR seeks (seek_while / batch_seek_step): the same
-//     superhop drives the dictionaries' ordered seeks, with the seek
-//     predicate run on each validated payload copy so the segment ends
-//     AT the landing cell. The batch snapshot hands off into the
-//     ordinary referenced cursor there — pre_cell is upgraded to a
-//     counted reference (cached_try_ref) and the WHOLE snapshot is
-//     re-swept so the reference provably attached to the node the
-//     snapshot read — which keeps the Figs. 9-10 CAS windows
-//     reference-held exactly as if the cursor had walked hand-over-hand.
-//  6. A per-thread SafeRead cache (node_pool): cursor teardown and the
-//     aux-hint demotion DONATE their departing references
-//     (drop_to_cache) instead of releasing them; the next operation's
-//     anchor acquisitions (first/seek roots, the mutators' aux re-pin,
-//     the landing upgrade) go through cached_copy/cached_protect/
-//     cached_try_ref, which transfer a parked reference back for zero
-//     RMWs when the hot cell repeats.
+//  5. Read-only seeks, referenced landings. A mutator seek (seek_while)
+//     runs the predicate on each validated payload copy, so its segment
+//     ends AT the landing cell, and it takes references only on the
+//     triple the Figs. 9-10 CASes go through: target is the segment
+//     end's protect, and an interior pre_cell is upgraded with try_ref
+//     and a re-sweep of the WHOLE snapshot, which proves the reference
+//     attached to the node the snapshot read. next() is the same seek,
+//     one cell long.
+//  6. A per-thread SafeRead cache (node_pool): the aux-hint demotion
+//     DONATES its departing reference (drop_to_cache) instead of
+//     releasing it; the mutators' aux re-pin (cached_protect) takes it
+//     back for zero RMWs when the hot aux repeats.
 //  7. Read-only landing (lookup_from): a point lookup's superhop ends
 //     at its landing cell like a seek's but takes no reference there;
 //     from a borrowed start, a lookup landing inside its first segment
@@ -77,7 +77,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -87,23 +86,6 @@
 #include "lfll/memory/node_pool.hpp"
 #include "lfll/memory/policy.hpp"
 #include "lfll/primitives/instrument.hpp"
-
-// Marks the seqlock-style racy payload copy in batch_hop: it may race
-// with construct_cell on a recycled node, and the incarnation sweep
-// discards the bytes whenever that can have happened. This is the
-// standard validated-optimistic-read idiom; instrumenting it would only
-// make TSan report the race the validation exists to mask.
-#if defined(__SANITIZE_THREAD__)
-#define LFLL_NO_TSAN __attribute__((no_sanitize("thread")))
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define LFLL_NO_TSAN __attribute__((no_sanitize("thread")))
-#else
-#define LFLL_NO_TSAN
-#endif
-#else
-#define LFLL_NO_TSAN
-#endif
 
 namespace lfll {
 
@@ -166,15 +148,18 @@ public:
     valois_list& operator=(const valois_list&) = delete;
 
     /// A cursor is the paper's (pre_cell, pre_aux, target) triple. It
-    /// holds one traversal reference on pre_cell and target and keeps a
-    /// policy guard engaged for its whole attached lifetime, so the nodes
-    /// it points at — even deleted ones — cannot be recycled under it
-    /// (counts under refcount/hazard, the pin's grace period under
-    /// epochs). pre_aux is an UNREFERENCED hint under every policy (the
-    /// traversal fast path's aux elision): reads through it are racy but
-    /// safe — slabs never return to the OS — and every consumer either
+    /// holds one traversal reference on target and, unless it borrows it,
+    /// on pre_cell, and keeps a policy guard engaged for its whole
+    /// attached lifetime, so the nodes it points at — even deleted ones —
+    /// cannot be recycled under it (counts under refcount/hazard, the
+    /// pin's grace period under epochs). A BORROWED pre_cell is head_ or
+    /// a node its owner pins for the list's lifetime (a bucket dummy):
+    /// the cursor takes no reference on it and never drops one.
+    /// pre_aux is an UNREFERENCED hint under every policy (the traversal
+    /// fast path's aux elision): reads through it are racy but safe —
+    /// slabs never return to the OS — and every consumer either
     /// validates it against pre_aux->next == target (update's early-out,
-    /// valid()) or ignores it and re-pins the current aux from the ref'd
+    /// valid()) or ignores it and re-pins the current aux from the
     /// pre_cell (mutators). Cursors are thread-local objects: copy them
     /// only on the owning thread.
     class cursor {
@@ -182,8 +167,8 @@ public:
         cursor() = default;
         explicit cursor(valois_list& l) : list_(&l) { l.first(*this); }
 
-        cursor(const cursor& o) : list_(o.list_), guard_(o.guard_) {
-            pre_cell_ = copy(o.pre_cell_);
+        cursor(const cursor& o) : list_(o.list_), guard_(o.guard_), pre_held_(o.pre_held_) {
+            pre_cell_ = pre_held_ ? copy(o.pre_cell_) : o.pre_cell_;
             pre_aux_ = o.pre_aux_;  // hint: no reference to duplicate
             target_ = copy(o.target_);
         }
@@ -210,12 +195,13 @@ public:
         /// detached.
         void reset() noexcept {
             if (list_ == nullptr) return;
-            // Op-boundary anchors: the next operation on this list is
-            // likeliest to revisit exactly these cells, so the departing
-            // references park in the SafeRead cache instead of releasing.
-            list_->pool_->drop_to_cache(pre_cell_);
-            list_->pool_->drop_to_cache(target_);  // pre_aux_ is a hint: nothing to drop
+            // Released at once, not parked in the SafeRead cache: no site
+            // takes a cell back from it, and a parked deleted cell would
+            // pin every node unlinked after it along its next links.
+            if (pre_held_) list_->pool_->drop(pre_cell_);
+            list_->pool_->drop(target_);  // pre_aux_ is a hint: nothing to drop
             pre_cell_ = pre_aux_ = target_ = nullptr;
+            pre_held_ = false;
             guard_.reset();
         }
 
@@ -242,12 +228,16 @@ public:
         node* target() const noexcept { return target_; }
         node* pre_aux() const noexcept { return pre_aux_; }
         node* pre_cell() const noexcept { return pre_cell_; }
+        /// Whether pre_cell carries a traversal reference of this cursor
+        /// (false while it is borrowed). Audits declare only held ones.
+        bool holds_pre_cell() const noexcept { return pre_held_; }
         valois_list* list() const noexcept { return list_; }
 
         void swap(cursor& o) noexcept {
             std::swap(list_, o.list_);
             guard_.swap(o.guard_);
             std::swap(pre_cell_, o.pre_cell_);
+            std::swap(pre_held_, o.pre_held_);
             std::swap(pre_aux_, o.pre_aux_);
             std::swap(target_, o.target_);
         }
@@ -259,80 +249,77 @@ public:
             return list_ == nullptr ? nullptr : list_->pool_->copy(p);
         }
 
+        /// Steps pre_cell onto `n`, whose traversal reference the cursor
+        /// takes over; a held pre_cell's reference departs.
+        void hold_pre(node* n) noexcept {
+            if (pre_held_) list_->pool_->drop(pre_cell_);
+            pre_cell_ = n;
+            pre_held_ = true;
+        }
+
         valois_list* list_ = nullptr;
         guard guard_;
         node* pre_cell_ = nullptr;
+        bool pre_held_ = false;
         node* pre_aux_ = nullptr;
         node* target_ = nullptr;
     };
 
     // --- traversal (Figs. 5-7) -------------------------------------------
 
-    /// Fig. 6: positions c at the first item (or end-of-list if empty).
-    void first(cursor& c) {
+    /// Attaches c at `start` without positioning it: pre_cell borrows
+    /// start, which must be head() or a node the caller pins for the
+    /// list's lifetime (a bucket dummy), and target stays unset. The
+    /// next seek_while() walks read-only from start; update() positions
+    /// c right after it.
+    void anchor(cursor& c, node* start) {
+        assert(start != nullptr && start->is_normal());
         c.reset();
         c.list_ = this;
         c.guard_ = pool_->make_guard();
-        c.pre_cell_ = pool_->cached_copy(head_);  // root pointer never changes
-        c.pre_aux_ = nullptr;
-        c.target_ = nullptr;
+        c.pre_cell_ = start;
+    }
+
+    /// Fig. 6: positions c at the first item (or end-of-list if empty).
+    /// pre_cell borrows head_ (the root pointer never changes).
+    void first(cursor& c) {
+        anchor(c, head_);
         reposition(c);
     }
 
-    /// Fig. 7: advances c one position. Returns false at end-of-list.
-    /// Steady state under a counting policy is the fast path: one
+    /// Fig. 7: advances c one position. Returns false at end-of-list. A
+    /// one-cell seek: steady state under a counting policy is one
     /// protect (on the next cell), the aux elided, the old pre_cell's
     /// reference released — ~2 RMWs instead of the literal ~6.
     bool next(cursor& c) {
         assert(c.list_ == this && c.target_ != nullptr);
         if (c.target_->is_tail()) return false;
-        auto& ctr = instrument::tls();
-        ctr.traverse_hops++;
-        if constexpr (pool_type::counts_traversal) {
-            node* aux = nullptr;
-            if (node* n = hop_over_aux(c.target_, aux)) {
-                ctr.traverse_fast_hops++;
-                pool_->drop(c.pre_cell_);
-                c.pre_cell_ = c.target_;  // hand-over-hand: the reference transfers
-                c.pre_aux_ = aux;
-                c.target_ = n;
-                return true;
-            }
-        }
-        // Slow path (and the whole path under epochs, where protects are
-        // plain loads): step onto the target and re-derive the position.
-        pool_->drop(c.pre_cell_);
-        c.pre_cell_ = c.target_;  // the target reference transfers too
+        c.hold_pre(c.target_);  // hand-over-hand: the target reference transfers
         c.target_ = nullptr;
-        reposition(c);
+        walk<walk_mode::seek>(c.pre_cell_, c, [](const T&) { return false; }, nullptr, 1);
         return true;
     }
 
     /// Ordered seek: advances c while `pred(value)` holds, stopping at
     /// the first cell whose payload fails the predicate or at
     /// end-of-list. This is the dictionaries' find loop, lifted into the
-    /// list so the counted fast path can cross up to kScanBatch cells
-    /// per RMW (batch_seek_step): the batch evaluates the predicate on
-    /// validated payload copies, ends its segment at the first cell that
-    /// fails it, and hands off into the ordinary referenced cursor at
-    /// that landing cell — the caller's subsequent try_insert/try_delete
-    /// see exactly the hand-over-hand triple contract. `pred` must be
-    /// pure (it may run on snapshot copies, ahead of the cursor, and more
-    /// than once per cell).
+    /// list so it rides the read-only walker: from an anchor()ed cursor
+    /// it walks from the borrowed start, from a positioned one from its
+    /// target, and it takes references only at the landing, where the
+    /// caller's try_insert/try_delete see the ordinary triple contract.
+    /// `pred` must be pure (it may run on snapshot copies, ahead of the
+    /// cursor, and more than once per cell).
     template <typename Pred>
     void seek_while(cursor& c, Pred&& pred) {
-        assert(c.list_ == this && c.target_ != nullptr);
-        auto& ctr = instrument::tls();
-        for (;;) {
+        assert(c.list_ == this && c.pre_cell_ != nullptr);
+        if (c.target_ != nullptr) {  // positioned: resume from the target
             if (c.target_->is_tail()) return;
-            ctr.cells_traversed++;
+            instrument::tls().cells_traversed++;
             if (!pred(static_cast<const T&>(c.target_->value()))) return;
-            if constexpr (pool_type::counts_traversal && batch_scannable) {
-                if (batch_seek_step(c, pred)) continue;
-                ctr.batch_fallbacks++;
-            }
-            next(c);
+            c.hold_pre(c.target_);
+            c.target_ = nullptr;
         }
+        walk<walk_mode::seek>(c.pre_cell_, c, pred);
     }
 
     /// Fig. 5: makes c valid again, skipping (and best-effort compacting)
@@ -398,8 +385,8 @@ public:
         // an unreferenced hint and must not be CAS'd through. The swing's
         // expected == target still detects staleness — if pa is not the
         // aux before target, the CAS fails and the caller update()s.
-        // cached_protect: reposition parks this very aux, so the re-pin is
-        // usually a zero-RMW transfer of the parked reference.
+        // cached_protect: after a reposition or update that parked this
+        // very aux, the re-pin is a zero-RMW transfer of that reference.
         node* pa = pool_->cached_protect(c.pre_cell_->next);
         if (pa == nullptr || !pa->is_aux()) {  // defensive: see reposition()
             pool_->drop(pa);
@@ -520,13 +507,8 @@ public:
     /// resumes on the live suffix, per cell persistence). Used by the skip
     /// list to descend via `down` pointers without rescanning from First.
     void seek(cursor& c, node* start) {
-        assert(start != nullptr);
-        c.reset();
-        c.list_ = this;
-        c.guard_ = pool_->make_guard();
-        c.pre_cell_ = pool_->cached_copy(start);
-        c.pre_aux_ = nullptr;
-        c.target_ = nullptr;
+        anchor(c, start);
+        c.hold_pre(pool_->copy(start));  // a counted start: it may be deleted
         reposition(c);
     }
 
@@ -572,7 +554,7 @@ public:
     void scan_from(node* start, Visit&& visit) {
         assert(start != nullptr && start->is_normal());
         guard g = pool_->make_guard();
-        walk(start, std::forward<Visit>(visit));
+        walk<walk_mode::scan>(start, std::forward<Visit>(visit));
     }
 
     /// Read-only point lookup from `start` (borrowed, as in scan_from):
@@ -587,7 +569,7 @@ public:
     void lookup_from(node* start, Pred&& keep_going, Land&& land, Clock&& clock) {
         assert(start != nullptr && start->is_normal());
         guard g = pool_->make_guard();
-        walk(start, std::forward<Land>(land), keep_going, clock);
+        walk<walk_mode::lookup>(start, std::forward<Land>(land), keep_going, clock);
     }
 
 private:
@@ -606,36 +588,69 @@ private:
         }
     }
 
-    /// The read-only walker behind scan_from() and lookup_from(). `start`
-    /// is borrowed and the caller's guard spans the call; later positions
-    /// hold one traversal reference, a read-only landing none. A scan
-    /// visits cells until `visit` returns false; a lookup's `keep_going`
-    /// steers the superhop and `visit` (its `land`) sees only the landing.
-    template <typename Visit, typename Pred = std::nullptr_t, typename Clock = std::nullptr_t>
+    /// What walk() does with the cells it reaches.
+    enum class walk_mode {
+        scan,    ///< visit every cell until the visitor returns false
+        lookup,  ///< steer by the predicate, land read-only (lookup_from)
+        seek,    ///< steer by the predicate, land the cursor (seek_while, next)
+    };
+
+    /// The one traversal engine. `start` is live for the whole call: a
+    /// borrowed node, or (seek) the cursor's pre_cell. Later positions
+    /// hold one traversal reference each; a read-only landing holds none.
+    ///   * scan: `visit` sees each cell until it returns false.
+    ///   * lookup: the pure `keep_going` steers the superhop and `visit`
+    ///     (lookup_from's `land`) sees only the landing.
+    ///   * seek: `visit` is the cursor, unpositioned at start ==
+    ///     pre_cell. Each cell that passes `keep_going` becomes its
+    ///     pre_cell; the walk ends with target on the first that fails
+    ///     it (or Last) and pre_aux the aux before. `cap` limits the
+    ///     first superhop segment (next() passes 1).
+    /// The caller's guard spans the call.
+    template <walk_mode M, typename Visit, typename Pred = std::nullptr_t,
+              typename Clock = std::nullptr_t>
     void walk(node* start, Visit&& visit, Pred&& keep_going = nullptr,
-              Clock&& clock = nullptr) {
-        constexpr bool lookup = !std::is_null_pointer_v<std::remove_cvref_t<Pred>>;
+              Clock&& clock = nullptr, int cap = M == walk_mode::scan ? 2 : kScanBatch) {
+        constexpr bool scan = M == walk_mode::scan;
+        constexpr bool seek = M == walk_mode::seek;
         auto& ctr = instrument::tls();
         node* p = start;
-        node* held = nullptr;  // p, once a hop has landed a reference on it
-        int cap = lookup ? kScanBatch : 2;  // a scan ramps 2, 4, 8, then kScanBatch
+        node* held = nullptr;  // p, once a hop has landed a reference on it (not seek)
         for (;;) {
             node* n = nullptr;
+            node* aux = nullptr;  // seek: the aux before n, the landing's hint
             // Batched hop: cross up to `cap` cells on at most ONE protect
             // by snapshotting payloads seqlock-style and validating the
             // whole segment with an incarnation sweep. Crossed cells are
             // visited from the validated copies; a protected segment end
-            // is visited below like any single-step arrival.
+            // is handled below like any single-step arrival.
             if constexpr (pool_type::counts_traversal && batch_scannable) {
                 batch_snapshot s;
-                n = batch_hop<lookup>(p, s, cap, keep_going);
-                cap = cap < kScanBatch ? 2 * cap : kScanBatch;
+                n = batch_hop<M == walk_mode::lookup>(p, s, cap, keep_going);
+                cap = cap < kScanBatch ? 2 * cap : kScanBatch;  // a scan ramps 2, 4, 8, 16
                 bool done = false;
                 if (n != nullptr) {
                     const auto crossed = static_cast<std::uint64_t>(s.cells) + 1;
                     ctr.traverse_hops += crossed;
                     ctr.traverse_fast_hops += crossed;
-                    if constexpr (lookup) {
+                    if constexpr (scan) {
+                        for (int i = 0; i < s.cells && !done; ++i) {
+                            ctr.cells_traversed++;
+                            done = !visit_cell(visit, s.value(i), s.born[i], s.dead[i]);
+                        }
+                        if (done) pool_->drop(n);
+                    } else if constexpr (seek) {
+                        ctr.cells_traversed += static_cast<std::uint64_t>(s.cells) + n->is_cell();
+                        // A full segment, or an end that changed since its
+                        // copy, still passing the predicate: go on from n.
+                        if (n->is_cell() && keep_going(static_cast<const T&>(n->value()))) {
+                            visit.hold_pre(n);
+                            p = n;
+                            continue;
+                        }
+                        if (land_seek(visit, n, s)) return;
+                        n = nullptr;  // the upgrade failed: per-cell hop from p
+                    } else {
                         ctr.cells_traversed += static_cast<std::uint64_t>(s.cells);
                         if (s.landed) {
                             done = n == tail_;
@@ -645,12 +660,6 @@ private:
                             }
                             if (!done) n = nullptr;  // recycled before it was stamped
                         }
-                    } else {
-                        for (int i = 0; i < s.cells && !done; ++i) {
-                            ctr.cells_traversed++;
-                            done = !visit_cell(visit, s.value(i), s.born[i], s.dead[i]);
-                        }
-                        if (done) pool_->drop(n);
                     }
                 }
                 if (done) {
@@ -663,40 +672,61 @@ private:
                 ctr.traverse_hops++;
                 if constexpr (pool_type::counts_traversal) {
                     if (p->is_normal()) {  // cell-to-cell: elide the aux between
-                        node* aux_hint = nullptr;
-                        n = hop_over_aux(p, aux_hint);
+                        n = hop_over_aux(p, aux);
                         if (n != nullptr) ctr.traverse_fast_hops++;
                     }
                 }
-                if (n == nullptr) n = pool_->protect(p->next);  // single step
+                if (n == nullptr) {
+                    if constexpr (seek) {  // the Fig. 5 walk from pre_cell == p
+                        reposition(visit);
+                        n = visit.target_;
+                        aux = visit.pre_aux_;
+                    } else {
+                        n = pool_->protect(p->next);  // single step
+                    }
+                }
             }
-            pool_->drop(held);
-            held = p = n;
-            if (n == nullptr || n->is_tail()) {
-                pool_->drop(n);
-                return;
-            }
-            if (!n->is_cell()) {
-                ctr.aux_hops++;
-                continue;
-            }
-            ctr.cells_traversed++;
-            const T& v = n->value();
-            if constexpr (lookup) {
-                if (keep_going(v)) continue;
-            }
-            // n is protected: its stamps are reads of live memory, no
-            // seqlock dance needed.
-            std::uint64_t born = n->born_ts.load(std::memory_order_acquire);
-            const std::uint64_t dead = n->dead_ts.load(std::memory_order_acquire);
-            if constexpr (lookup) {
-                if (born == 0 && dead == rq::kInfTs) born = rq::stamp_born(n->born_ts, clock());
-                visit(v, born, dead);
-                pool_->drop(n);
-                return;
-            } else if (!visit_cell(visit, v, born, dead)) {
-                pool_->drop(n);
-                return;
+            if constexpr (seek) {
+                // n is normal and protected: the cursor's next target.
+                visit.pre_aux_ = aux;
+                visit.target_ = n;
+                if (n->is_tail()) return;
+                ctr.cells_traversed++;
+                if (!keep_going(static_cast<const T&>(n->value()))) return;
+                visit.hold_pre(n);
+                visit.target_ = nullptr;
+                p = n;
+            } else {
+                pool_->drop(held);
+                held = p = n;
+                if (n == nullptr || n->is_tail()) {
+                    pool_->drop(n);
+                    return;
+                }
+                if (!n->is_cell()) {
+                    ctr.aux_hops++;
+                    continue;
+                }
+                ctr.cells_traversed++;
+                const T& v = n->value();
+                if constexpr (!scan) {
+                    if (keep_going(v)) continue;
+                }
+                // n is protected: its stamps are reads of live memory, no
+                // seqlock dance needed.
+                std::uint64_t born = n->born_ts.load(std::memory_order_acquire);
+                const std::uint64_t dead = n->dead_ts.load(std::memory_order_acquire);
+                if constexpr (!scan) {
+                    if (born == 0 && dead == rq::kInfTs) {
+                        born = rq::stamp_born(n->born_ts, clock());
+                    }
+                    visit(v, born, dead);
+                    pool_->drop(n);
+                    return;
+                } else if (!visit_cell(visit, v, born, dead)) {
+                    pool_->drop(n);
+                    return;
+                }
             }
         }
     }
@@ -715,17 +745,17 @@ public:
     bool empty_slow() const { return size_slow() == 0; }
 
 private:
-    /// Re-derives (pre_aux, target) from the cursor's ref'd pre_cell: the
-    /// Fig. 5 walk, rooted at pre_cell->next instead of the old counted
-    /// pre_aux. Compacts aux chains behind pre_cell as it goes. On exit
-    /// pre_aux is the (unreferenced) hint and target holds a traversal
-    /// reference to the next normal cell or Last.
+    /// Re-derives (pre_aux, target) from the cursor's pre_cell (held or
+    /// borrowed): the Fig. 5 walk, rooted at pre_cell->next instead of
+    /// the old counted pre_aux. Compacts aux chains behind pre_cell as it
+    /// goes. On exit pre_aux is the (unreferenced) hint and target holds
+    /// a traversal reference to the next normal cell or Last.
     void reposition(cursor& c) {
         telemetry::prof::phase_scope prof_phase(telemetry::prof::phase::safe_read);
         auto& ctr = instrument::tls();
         pool_->drop(c.target_);
         c.target_ = nullptr;
-        // pre_cell is ref'd and a cell's next always links an aux (every
+        // pre_cell is live and a cell's next always links an aux (every
         // cell is flanked by auxes; deleted cells keep their outgoing
         // next until reclaim), so p is a genuine aux here.
         node* p = pool_->protect(c.pre_cell_->next);
@@ -752,9 +782,9 @@ private:
         }
     }
 
-    /// The elided-aux hop: from a node the caller holds a reference on,
-    /// reach the normal cell two links away with ONE protect and no
-    /// reference on the intervening aux. Validation sandwich:
+    /// The elided-aux hop: from a node the caller keeps live (a reference,
+    /// or a borrowed start), reach the normal cell two links away with ONE
+    /// protect and no reference on the intervening aux. Validation sandwich:
     ///   1. snapshot aux = from->next and its incarnation;
     ///   2. protect n = aux->next (the only RMW);
     ///   3. re-read from->next seq_cst — the location is only written by
@@ -791,18 +821,9 @@ private:
         return n;
     }
 
-    /// Payloads eligible for the batched scan hop. Two requirements, both
-    /// load-bearing for soundness (not just performance):
-    ///   * trivially destructible — reclaim's payload teardown writes
-    ///     nothing, so a cell's bytes mutate strictly between incarnation
-    ///     bumps and the seqlock validation window is airtight;
-    ///   * trivially copy-constructible — the snapshot is a plain byte
-    ///     copy, so a torn racy read cannot run user code before the
-    ///     validation sweep discards it.
-    /// (Deliberately NOT is_trivially_copyable: std::pair's user-provided
-    /// operator= fails that check while its copy remains a byte copy.)
-    static constexpr bool batch_scannable =
-        std::is_trivially_destructible_v<T> && std::is_trivially_copy_constructible_v<T>;
+    /// Payloads eligible for the batched hop: those the node writes and
+    /// copies seqlock-style (list_node::seqlock_payload).
+    static constexpr bool batch_scannable = node::seqlock_payload;
 
     /// Most cells one batched hop crosses per protect (scan and seek).
     /// Chosen so the validation arrays stay comfortably on the stack
@@ -848,15 +869,6 @@ private:
             return *std::launder(reinterpret_cast<const T*>(vals[i]));
         }
     };
-
-    /// Seqlock-style racy snapshot of a cell payload (batch_scannable T
-    /// only, so this is a byte copy that runs no user code). May race
-    /// with a concurrent construct_cell on a recycled node; the
-    /// incarnation sweep in batch_hop discards the bytes whenever that
-    /// can have happened, so a torn copy is never observed.
-    LFLL_NO_TSAN static void racy_value_copy(unsigned char* dst, const node* src) noexcept {
-        ::new (static_cast<void*>(dst)) T(*reinterpret_cast<const T*>(src->storage));
-    }
 
     /// First touch of `n`, just loaded from `link`: its incarnation, then
     /// the link re-read. Finding n still there ties the incarnation to the
@@ -935,7 +947,7 @@ private:
             if constexpr (seek) testing_hooks::chaos_point(sched::step_kind::batch_seek);
             std::uint64_t ic;
             if (!touch(a->next, c, ic)) return nullptr;
-            racy_value_copy(s.vals[s.cells], c);
+            c->load_payload(s.vals[s.cells]);  // seqlock read: validated below
             if constexpr (seek) {
                 // The predicate picks the segment end, so it must see a
                 // value c really held: the per-cell seqlock check (fence,
@@ -1017,8 +1029,8 @@ private:
 
     /// Hands `land` the read-only landing's copy and stamps. A live copy
     /// at born == 0 first gets n stamped, on a reference proven (try_ref
-    /// plus incarnation re-check, as in batch_seek_step) to sit on the
-    /// copied incarnation; false, with nothing called, if n was recycled.
+    /// plus incarnation re-check, as in land_seek) to sit on the copied
+    /// incarnation; false, with nothing called, if n was recycled.
     template <typename Land, typename Clock>
     bool land_read_only(node* n, const batch_snapshot& s, Land& land, Clock& clock) {
         std::uint64_t born = s.born[s.cells];
@@ -1037,85 +1049,38 @@ private:
         return true;
     }
 
-    /// One batched mutator-seek step: from the cursor's referenced target
-    /// (a cell), cross the cells ahead whose payload copies satisfy the
-    /// predicate (batch_hop ends the segment at the first that fails it),
-    /// and land the cursor there with the referenced-triple contract
-    /// intact:
-    ///   pre_cell <- the cell before the landing cell (upgraded to a
-    ///               counted reference via cached_try_ref);
-    ///   pre_aux  <- the aux between them (unreferenced hint, as always);
-    ///   target   <- the landing cell, the protected segment end.
-    /// The upgrade try_ref lands on a SNAPSHOTTED pointer, so after it
-    /// succeeds the ENTIRE snapshot is re-swept: unchanged incarnations
-    /// prove no snapshotted node was reclaimed since first touch, hence
-    /// the reference attached to the node the snapshot actually read
-    /// (not a same-address recycle) and the landing triple is exactly
-    /// what a hand-over-hand walk would have produced — §5 counts balance
-    /// because every reference the cursor ends up holding was acquired
-    /// through try_ref/protect and every one it gives up is dropped. Any
-    /// failure undoes the speculative references and returns false; the
-    /// caller falls back to the per-cell hop.
-    template <typename Pred>
-    bool batch_seek_step(cursor& c, Pred& pred) {
-        node* from = c.target_;  // referenced cell (caller checked)
-        batch_snapshot s;
-        node* res = batch_hop(from, s, kScanBatch, pred);
-        if (res == nullptr) return false;
-        // With `from` a cell, the snapshot is laid out
-        //   src[0]      = the aux after from,
-        //   src[2i+1]   = crossed cell i   (payload copy vals[i]),
-        //   src[2i+2]   = the aux after it,     for i in [0, s.cells)
-        // and res (protected) is the segment-end node after src[nsrc-1].
-        // Every crossed copy satisfied the predicate.
-        auto& ctr = instrument::tls();
-        const auto span = static_cast<std::uint64_t>(s.cells) + 1;
-        if (res->is_cell() && pred(static_cast<const T&>(res->value()))) {
-            // Advance-only fast path: the segment filled up (or res
-            // changed since its copy) and the live res still satisfies
-            // the predicate, so the seek continues from res — no triple
-            // handoff yet, hence no extra RMWs (batch_commit's sweep
-            // already validated the segment). The cursor's pre_cell_
-            // deliberately goes STALE: it keeps its counted reference
-            // (parking a reference only delays reclamation), and the batch
-            // that terminates the seek — or a fallback next() — re-anchors
-            // it before seek_while returns, so callers never observe the
-            // stale triple.
-            pool_->drop(from);
-            c.target_ = res;
-            ctr.traverse_hops += span;
-            ctr.traverse_fast_hops += span;
-            ctr.cells_traversed += static_cast<std::uint64_t>(s.cells);
-            return true;
+    /// A seek's landing on `n`, the protected end of segment `s` walked
+    /// from c's pre_cell: lands c on (pre, aux, n), pre being the last
+    /// cell crossed, or pre_cell itself when the segment crossed none.
+    /// An interior pre is upgraded to a counted reference with try_ref
+    /// on the SNAPSHOTTED pointer, so the WHOLE snapshot is re-swept
+    /// after it: unchanged incarnations prove no snapshotted node was
+    /// reclaimed since first touch, hence the reference sits on the node
+    /// the snapshot read (not a same-address recycle) and the triple is
+    /// exactly what a hand-over-hand walk would have produced. With p =
+    /// pre_cell a cell, the snapshot is laid out
+    ///   src[0]    = the aux after p,
+    ///   src[2i+1] = crossed cell i,  src[2i+2] = the aux after it.
+    /// On failure undoes its references (n's too) and returns false.
+    bool land_seek(cursor& c, node* n, const batch_snapshot& s) {
+        if (s.cells > 0) {
+            node* pre = const_cast<node*>(s.src[2 * s.cells - 1]);
+            testing_hooks::chaos_point(sched::step_kind::batch_seek);
+            if (!pool_->try_ref(pre)) {
+                pool_->drop(n);
+                return false;
+            }
+            testing_hooks::chaos_point(sched::step_kind::batch_seek);
+            std::atomic_thread_fence(std::memory_order_acquire);
+            if (!sweep(s)) {
+                pool_->unref(pre);  // full unref: the node may be dying
+                pool_->drop(n);
+                return false;
+            }
+            c.hold_pre(pre);
         }
-        node* pre = s.cells == 0 ? from : const_cast<node*>(s.src[2 * s.cells - 1]);
-        node* hint = const_cast<node*>(s.src[2 * s.cells]);
-        // Landing upgrade. from already carries the cursor's reference and
-        // res the protect's; only an interior pre_cell needs a new one.
-        testing_hooks::chaos_point(sched::step_kind::batch_seek);
-        if (pre != from && !pool_->cached_try_ref(pre)) {
-            pool_->drop(res);
-            return false;
-        }
-        testing_hooks::chaos_point(sched::step_kind::batch_seek);
-        std::atomic_thread_fence(std::memory_order_acquire);
-        if (!sweep(s)) {
-            if (pre != from) pool_->unref(pre);
-            pool_->drop(res);
-            return false;
-        }
-        pool_->drop(c.pre_cell_);
-        if (pre == from) {
-            c.pre_cell_ = from;  // the cursor's target reference transfers
-        } else {
-            c.pre_cell_ = pre;
-            pool_->drop(from);  // the old target reference departs
-        }
-        c.pre_aux_ = hint;
-        c.target_ = res;
-        ctr.traverse_hops += span;
-        ctr.traverse_fast_hops += span;
-        ctr.cells_traversed += static_cast<std::uint64_t>(s.cells);
+        c.pre_aux_ = const_cast<node*>(s.src[2 * s.cells]);
+        c.target_ = n;
         return true;
     }
 

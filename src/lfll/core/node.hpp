@@ -14,8 +14,11 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 #include "lfll/memory/policy.hpp"
@@ -60,6 +63,13 @@ struct alignas(cacheline_size) list_node : Policy::header {
 
     alignas(T) unsigned char storage[sizeof(T)];
 
+    /// The unit of the seqlock payload copy: the widest word up to 8 bytes
+    /// that T's alignment admits (it divides sizeof(T), so no tail).
+    using payload_word = std::conditional_t<
+        alignof(T) >= 8, std::uint64_t,
+        std::conditional_t<alignof(T) >= 4, std::uint32_t,
+                           std::conditional_t<alignof(T) >= 2, std::uint16_t, std::uint8_t>>>;
+
     list_node() = default;
     list_node(const list_node&) = delete;
     list_node& operator=(const list_node&) = delete;
@@ -81,14 +91,62 @@ struct alignas(cacheline_size) list_node : Policy::header {
         return *std::launder(reinterpret_cast<const T*>(storage));
     }
 
+    /// Payloads the traversal superhop may copy out of a cell it holds no
+    /// reference on (valois_list's batch_scannable). Two requirements,
+    /// both load-bearing for soundness:
+    ///   * trivially destructible — reclaim's payload teardown writes
+    ///     nothing, so a cell's bytes mutate strictly between incarnation
+    ///     bumps and the seqlock validation window is airtight;
+    ///   * trivially copy-constructible — a copy is a byte copy, so a torn
+    ///     racy read runs no user code before validation discards it.
+    /// (Deliberately NOT is_trivially_copyable: std::pair's user-provided
+    /// operator= fails that check while its copy remains a byte copy.)
+    static constexpr bool seqlock_payload =
+        std::is_trivially_destructible_v<T> && std::is_trivially_copy_constructible_v<T>;
+
     /// Constructs the payload and marks this node a normal cell. The node
-    /// must be private to the caller (freshly allocated).
+    /// must be private to the caller (freshly allocated). A seqlock
+    /// payload is written as Boehm's seqlock writer does ("Can seqlocks
+    /// get along with programming language memory models?", MSPC 2012):
+    /// a release fence after the incarnation bump that freed the node,
+    /// then relaxed atomic word stores, so an unreferenced reader's racy
+    /// copy (load_payload) is a data-race-free read the incarnation
+    /// re-check then accepts or discards.
     template <typename... Args>
     void construct_cell(Args&&... args) {
         born_ts.store(0, std::memory_order_relaxed);
         dead_ts.store(~std::uint64_t{0}, std::memory_order_relaxed);
-        ::new (static_cast<void*>(storage)) T(std::forward<Args>(args)...);
+        if constexpr (seqlock_payload) {
+            const T v(std::forward<Args>(args)...);
+            const auto* bytes = reinterpret_cast<const unsigned char*>(&v);
+            std::atomic_thread_fence(std::memory_order_release);
+            for (std::size_t i = 0; i < sizeof(T); i += sizeof(payload_word)) {
+                payload_word w;
+                std::memcpy(&w, bytes + i, sizeof w);
+                std::atomic_ref<payload_word>(*reinterpret_cast<payload_word*>(storage + i))
+                    .store(w, std::memory_order_relaxed);
+            }
+        } else {
+            ::new (static_cast<void*>(storage)) T(std::forward<Args>(args)...);
+        }
         kind.store(node_kind::cell, std::memory_order_release);
+    }
+
+    /// The seqlock reader's copy of a seqlock payload into `dst`: relaxed
+    /// atomic word loads, possibly racing construct_cell on a recycled
+    /// node. The caller brackets it with the incarnation load before and
+    /// an acquire fence plus incarnation re-check after, and discards the
+    /// bytes on a mismatch.
+    void load_payload(unsigned char* dst) const noexcept
+        requires seqlock_payload
+    {
+        for (std::size_t i = 0; i < sizeof(T); i += sizeof(payload_word)) {
+            auto* word = const_cast<payload_word*>(
+                reinterpret_cast<const payload_word*>(storage + i));
+            const payload_word w = std::atomic_ref<payload_word>(*word).load(
+                std::memory_order_relaxed);
+            std::memcpy(dst + i, &w, sizeof w);
+        }
     }
 
     // --- node_pool hooks -------------------------------------------------

@@ -88,9 +88,9 @@ public:
     /// match still unstamped is stamped first (see the header comment).
     bool find_from(const Key& key, cursor& c) {
         // Keep going while the cell's key sorts before ours. seek_while
-        // rides the batched mutator superhop (predicate evaluated on
-        // validated snapshot copies, referenced-cursor handoff at the
-        // landing) and stops on the first cell with k >= key, or Last.
+        // rides the read-only superhop (predicate evaluated on validated
+        // snapshot copies, references taken only at the landing) and
+        // stops on the first cell with k >= key, or Last.
         list_.seek_while(
             c, [this, &key](const value_type& kv) { return cmp_(kv.first, key); });
         if (c.at_end()) return false;
@@ -104,7 +104,8 @@ public:
         LFLL_TRACE_SPAN(telemetry::trace_op::insert, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::insert,
                                           telemetry::key_hash(key));
-        cursor c(list_);
+        cursor c;
+        list_.anchor(c, list_.head());
         return insert_at(c, key, std::move(value));
     }
 
@@ -115,7 +116,8 @@ public:
         LFLL_TRACE_SPAN(telemetry::trace_op::erase, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::erase,
                                           telemetry::key_hash(key));
-        cursor c(list_);
+        cursor c;
+        list_.anchor(c, list_.head());
         return erase_at(c, key);
     }
 
@@ -129,11 +131,12 @@ public:
     void apply_batch(const batch_op<Key, Value>* ops, std::size_t n,
                      batch_result<Value>* out) {
         if (n == 0) return;
-        cursor c(list_);
+        cursor c;
+        list_.anchor(c, list_.head());
         sorted_pass(
             ops, n, out, c, [ops](std::uint32_t i) -> const Key& { return ops[i].key; },
             [this](cursor& cur, std::uint32_t, bool same_key_erased) {
-                if (same_key_erased) list_.first(cur);
+                if (same_key_erased) list_.anchor(cur, list_.head());
             },
             [](batch_op_kind, bool) {});
     }
@@ -314,7 +317,8 @@ private:
     }
 
     /// Insert protocol body, resuming the seek from wherever `c` stands
-    /// (a fresh cursor or the previous batch sub-op's landing cell). On
+    /// (anchored at a borrowed start, or the previous batch sub-op's
+    /// landing cell). On
     /// success the cursor lands ON the inserted cell so a later equal-key
     /// op in the same batch observes it; on "already present" it rests on
     /// the existing live match.

@@ -19,7 +19,7 @@
 //                via a plain lock-free list insert, recursing to the
 //                parent bucket (index with the top set bit cleared);
 //   * lookup   = start the list walk at the bucket's dummy instead of
-//                First (valois_list::seek / lookup_from), so chains stay
+//                First (valois_list::anchor / lookup_from), so chains stay
 //                O(load factor) while correctness never depends on the
 //                shortcut: every anchor's split-order key precedes its
 //                bucket's entries in the SAME sorted list a from-head
@@ -473,12 +473,8 @@ private:
         telemetry::prof::phase_scope prof_phase(telemetry::prof::phase::bucket_split);
         testing_hooks::chaos_point(sched::step_kind::resize);  // split begins
         list_type& l = list();
-        cursor c;
-        if (b == 0) {
-            c = cursor(l);  // recursion base (pre-initialized eagerly)
-        } else {
-            l.seek(c, bucket_node(so_detail::parent_bucket(b)));
-        }
+        cursor c;  // borrows its start: First, or the parent's pinned dummy
+        l.anchor(c, b == 0 ? l.head() : bucket_node(so_detail::parent_bucket(b)));
         const so_key dkey{so_detail::so_dummy(b), Key{}};
         node* q = nullptr;
         node* a = nullptr;
@@ -525,8 +521,9 @@ private:
         return d;
     }
 
-    /// Positions c on the first entry of `h`'s bucket (or later).
-    void anchor(std::uint64_t h, cursor& c) { list().seek(c, bucket_node(h & mask())); }
+    /// Anchors c at `h`'s bucket dummy, borrowed: the directory slot pins
+    /// it and dummies are never deleted. The op's seek walks from there.
+    void anchor(std::uint64_t h, cursor& c) { list().anchor(c, bucket_node(h & mask())); }
 
     /// The resize tick after an insert or erase: a success moves the size
     /// count. Every erase re-checks the load factor, misses included

@@ -102,15 +102,15 @@
 //
 // --- Per-thread SafeRead cache (traversal fast path, counting policies) --
 //
-// Repeat visits to hot nodes — the list head, a hash bucket's dummy, the
-// neighborhood of a Zipf-hot key — pay one SafeRead RMW per visit even
+// Repeat visits to hot nodes — the aux a mutator re-pins before its CAS,
+// the neighborhood of a Zipf-hot key — pay one SafeRead RMW per visit even
 // though the same thread held a reference to the same node microseconds
 // ago. The SafeRead cache turns that round trip into a reference
 // *transfer*: drop_to_cache() parks a departing reference in a small
 // per-thread table (riding in the same registry record as the magazine
-// cache) instead of decrementing, and cached_copy()/cached_protect()/
-// cached_try_ref() take it back with a plain identity compare — zero
-// RMWs on a hit. Entries come in two states:
+// cache) instead of decrementing, and cached_protect() takes it back
+// with a plain identity compare — zero RMWs on a hit. Entries come in
+// two states:
 //
 //  * referenced — the entry holds a live counted reference, donated by
 //    drop_to_cache(). The reference pins the node (its incarnation
@@ -125,10 +125,12 @@
 //    bump to us). Cost equals a plain ref — the hint never loses.
 //
 // A parked reference only DELAYS reclamation (never enables an early
-// free), capacity bounds how many nodes per thread linger, and every
-// quiescent boundary (audits, thread exit, pool teardown, alloc
+// free), capacity bounds how many references per thread are parked, and
+// every quiescent boundary (audits, thread exit, pool teardown, alloc
 // pressure) releases the cached references, so §5 count audits stay
-// exact. Capacity evictions release the victim's reference at once.
+// exact. Capacity evictions release the victim's reference at once. A
+// parked node that is unlinked meanwhile keeps alive every node its next
+// link still reaches, so only what the take site re-pins is parked.
 //
 // Toggle: LFLL_SAFEREAD_CACHE CMake option / env var /
 // set_saferead_cache_override() / pool_config::saferead_cache;
@@ -276,7 +278,7 @@ struct pool_config {
     std::size_t mag_rounds = 0;
     /// -1 = saferead_cache_default(), 0 = off, 1 = on. Only counting
     /// policies (and nodes with an incarnation word) cache; elsewhere the
-    /// cached_* entry points degrade to their plain counterparts.
+    /// cache entry points degrade to protect()/drop().
     int saferead_cache = -1;
     /// Per-thread SafeRead-cache entries; 0 = auto
     /// (saferead_cache_size_default(), normally 16). Rounded up to the
@@ -506,19 +508,6 @@ public:
 
     // --- per-thread SafeRead cache (traversal fast path) -------------------
 
-    /// As copy(), but a cache hit transfers a parked reference instead of
-    /// touching the count word. `p` must be live under the caller's usual
-    /// copy() contract (a counted link or reference the caller owns).
-    Node* cached_copy(Node* p) noexcept {
-        if constexpr (sr_cacheable) {
-            if (sr_on_ && p != nullptr) {
-                mag_cache* c = this_thread_cache();
-                if (sr_take(*c, p)) return p;
-            }
-        }
-        return copy(p);
-    }
-
     /// As protect(), but a cache hit on the location's current value
     /// transfers a parked reference: the reference predates the load, so
     /// the postcondition ("the returned node was the location's value at
@@ -536,26 +525,12 @@ public:
         return protect(location);
     }
 
-    /// As try_ref(), but a cache hit transfers a parked reference (the
-    /// parked reference proves the node unclaimed — it pins the count).
-    /// The batched mutator seek uses this for its landing upgrade.
-    bool cached_try_ref(Node* p) noexcept {
-        if constexpr (sr_cacheable) {
-            if (sr_on_ && p != nullptr) {
-                mag_cache* c = this_thread_cache();
-                if (sr_take(*c, p)) return true;
-            }
-        }
-        return try_ref(p);
-    }
-
     /// Drops a traversal reference by donating it to this thread's
     /// SafeRead cache (falling back to drop() when caching is off or the
     /// node already has a parked reference). A parked reference can only
     /// DELAY reclamation; capacity evictions release theirs at once.
-    /// Traversal code calls this for op-boundary anchors (cursor
-    /// teardown, aux-hint demotion) — the nodes the next operation is
-    /// likeliest to revisit.
+    /// Traversal code calls this for the aux-hint demotion — the aux the
+    /// next mutator re-pins (cached_protect) before its CAS.
     void drop_to_cache(Node* p) {
         if constexpr (sr_cacheable) {
             if (p == nullptr) return;
@@ -567,7 +542,7 @@ public:
         drop(p);  // cache off / declined; no-op under epochs
     }
 
-    /// Whether cached_*/drop_to_cache actually cache on this pool.
+    /// Whether cached_protect/drop_to_cache actually cache on this pool.
     bool saferead_cache_enabled() const noexcept { return sr_on_; }
 
     /// Per-thread SafeRead-cache entry capacity (2 ways per set).
@@ -1197,9 +1172,8 @@ private:
 
     /// Tries to satisfy a reference acquisition on `p` from this thread's
     /// cache. Identity is the CALLER's problem: `p` must be the value just
-    /// loaded from a live location (cached_protect) or a reference the
-    /// caller already protects (cached_copy) — the cache only supplies the
-    /// reference, never the pointer. On a referenced hit the parked
+    /// loaded from a live location (cached_protect) — the cache only
+    /// supplies the reference, never the pointer. On a referenced hit the parked
     /// reference transfers to the caller with zero RMWs and the entry
     /// decays to a hint; on a hint hit the cost equals a plain try_ref
     /// plus an incarnation sandwich that rejects nodes recycled since the

@@ -126,9 +126,10 @@ TEST(Audit, PinnedDeletedCellAccountedViaExternalRefs) {
     auto bad = audit_list(list);
     EXPECT_FALSE(bad.ok);
     // With the cursor's references declared, it must pass. pre_aux is an
-    // unreferenced hint (traversal fast path), so only two references.
+    // unreferenced hint (traversal fast path), and pre_cell (First) is
+    // borrowed, so only the references the cursor holds are declared.
     std::map<const node_t*, std::size_t> ext;
-    ext[parked.pre_cell()]++;
+    if (parked.holds_pre_cell()) ext[parked.pre_cell()]++;
     ext[parked.target()]++;
     auto good = audit_list(list, ext);
     EXPECT_TRUE(good.ok) << good.error;

@@ -23,9 +23,10 @@ void fill(list_t& list, int lo, int hi) {  // inserts lo..hi in order
 }
 
 /// Folds a cursor's references into an audit external-reference map.
-/// pre_aux is an unreferenced hint (traversal fast path) — not counted.
+/// pre_aux is an unreferenced hint (traversal fast path), and a borrowed
+/// pre_cell (First, here) carries no reference either — not counted.
 void count_refs(std::map<const node_t*, std::size_t>& m, const cursor_t& c) {
-    if (c.pre_cell() != nullptr) m[c.pre_cell()]++;
+    if (c.holds_pre_cell()) m[c.pre_cell()]++;
     if (c.target() != nullptr) m[c.target()]++;
 }
 

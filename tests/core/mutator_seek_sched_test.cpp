@@ -1,15 +1,18 @@
-// Scheduler coverage for the batched mutator seek (seek_while /
-// batch_seek_step, step_kind::batch_seek), the read-only lookup
-// (lookup_from, the same superhop with a reference-free landing) and the
-// per-thread SafeRead cache (step_kind::safe_read_cache), across all
-// three reclamation policies. The windows under test:
+// Scheduler coverage for the mutator seek (seek_while, walk's seek
+// mode, step_kind::batch_seek), the read-only lookup (lookup_from, the
+// same superhop with a reference-free landing) and the per-thread
+// SafeRead cache (step_kind::safe_read_cache), across all three
+// reclamation policies. The windows under test:
 //
-//   * batch-snapshot -> referenced-cursor handoff: batch_seek_step has
-//     snapshotted a segment and is about to try_ref the landing pre/
-//     target cells; a preemption there lets churners recycle snapshot
-//     nodes, and the post-ref incarnation re-sweep must catch it (a
-//     missed catch surfaces as a count-audit imbalance or a cursor on
-//     a recycled cell).
+//   * batch-snapshot -> referenced-cursor handoff: the seek has
+//     snapshotted a segment and is about to try_ref the landing's
+//     interior pre_cell; a preemption there lets churners recycle
+//     snapshot nodes, and the post-ref incarnation re-sweep must catch
+//     it (a missed catch surfaces as a count-audit imbalance or a
+//     cursor on a recycled cell).
+//   * borrowed start: a write's seek walks from First without a
+//     reference, so an erase can recycle the start's first cell between
+//     the read-only walk and the landing's protect.
 //   * cache-hit-on-recycled-cell: sr_take is about to revalidate a hint
 //     entry (try_ref + incarnation sandwich); a preemption lets a
 //     deleter recycle the cached cell, bumping its incarnation, and the
@@ -56,10 +59,10 @@ sched::options pinned(std::uint64_t seed) {
     return o;
 }
 
-/// Cursor-based lookup through the batched mutator seek. map::find()
-/// rides the read-only lookup and never enters batch_seek_step or the
-/// SafeRead cache; both chaos windows live on the find_from path, so
-/// the seeker/reader bodies must drive it directly.
+/// Cursor-based lookup through the mutator seek. map::find() rides the
+/// read-only lookup and never lands a cursor or donates to the SafeRead
+/// cache; both chaos windows live on the find_from path, so the
+/// seeker/reader bodies must drive it directly.
 template <typename Map>
 std::optional<int> seek_find(Map& map, int key) {
     typename Map::cursor c(map.list());
@@ -314,6 +317,74 @@ std::uint64_t run_point_read_recycle_window(std::uint64_t seed, bool lookup, boo
     return fallbacks;
 }
 
+/// Borrowed-start and landing-upgrade windows: a write's seek walks
+/// read-only from First, which it borrows, and takes references only at
+/// its landing, so a concurrent erase can unlink and recycle a node the
+/// walk read between the walk and the landing. The writer erases and
+/// reinserts `own`, the churner `churned`, each key owned by one thread
+/// so every call must succeed; cache off, so an erased cell is reclaimed
+/// (its incarnation bumps) and reused at once. BorrowedStart: own = 0
+/// and churned = 1, the start's first cell, so the writer lands inside
+/// its first segment with First as pre_cell. LandingUpgrade: own = 3 and
+/// churned = 2, the landing's pre_cell, which the upgrade's try_ref and
+/// re-sweep must catch recycled. Returns the writer's superhop fallbacks.
+template <typename Policy>
+std::uint64_t run_borrowed_write_window(std::uint64_t seed, int own, int churned) {
+    using map_t = sorted_list_map<int, int, std::less<int>, Policy>;
+    pool_config cfg;
+    cfg.initial_capacity = 24;  // erased cells come straight back
+    cfg.saferead_cache = 0;     // a parked reference would pin the cell
+    typename map_t::list_type::pool_type pool(cfg);
+    map_t map(pool);
+    for (int k = 0; k < 8; ++k) {
+        if (k != own) map.insert(k, 100 + k);
+    }
+    std::uint64_t fallbacks = 0;
+    std::vector<std::function<void()>> bodies;
+    bodies.push_back([&map, &fallbacks, own] {
+        auto& ctr = instrument::tls();
+        const std::uint64_t before = ctr.batch_fallbacks.load();
+        for (int round = 0; round < 4; ++round) {
+            EXPECT_TRUE(map.insert(own, 200 + round)) << "round " << round;
+            EXPECT_TRUE(map.erase(own)) << "round " << round;
+        }
+        fallbacks = ctr.batch_fallbacks.load() - before;
+    });
+    bodies.push_back([&map, churned] {
+        for (int i = 0; i < 4; ++i) {
+            EXPECT_TRUE(map.erase(churned)) << "churn " << i;
+            EXPECT_TRUE(map.insert(churned, 110 + churned)) << "churn " << i;
+        }
+    });
+    // Change points packed early, as for the landing-recycle seeds.
+    sched::options o = pinned(seed);
+    o.change_points = 6;
+    o.change_horizon = 256;
+    sched::run(o, std::move(bodies));
+    if constexpr (map_t::list_type::pool_type::counts_traversal) {
+        EXPECT_GT(sched::scheduler::instance().kind_count(sched::step_kind::batch_seek),
+                  0u)
+            << "seed " << seed;
+    } else {
+        EXPECT_EQ(sched::scheduler::instance().kind_count(sched::step_kind::batch_seek),
+                  0u);
+        EXPECT_EQ(fallbacks, 0u);
+    }
+    for (int k = 0; k < 8; ++k) {
+        std::optional<int> want;
+        if (k == churned) {
+            want = 110 + k;
+        } else if (k != own) {
+            want = 100 + k;
+        }
+        EXPECT_EQ(map.find(k), want) << "key " << k << ", seed " << seed;
+    }
+    auto r = quiesce_and_audit(map);
+    EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
+                      << " — replay with LFLL_SCHED_REPLAY=" << seed;
+    return fallbacks;
+}
+
 TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_Refcount) {
     for (std::uint64_t seed : {3ull, 8ull, 17ull, 29ull, 41ull, 56ull}) {
         run_handoff_window<valois_refcount>(seed);
@@ -356,6 +427,54 @@ TEST(MutatorSeekSched, PinnedSeed_LandingRecycle_Hazard) {
 TEST(MutatorSeekSched, PinnedSeed_LandingRecycle_EpochCompilesOut) {
     for (std::uint64_t seed : {71ull, 79ull}) {
         run_landing_recycle_window<epoch_policy>(seed);
+    }
+}
+
+// The borrowed-write seeds were picked with a probe that counted, in the
+// writer, superhops from the borrowed First that failed validation
+// (BorrowedStart) and landing upgrades whose try_ref or re-sweep failed
+// (LandingUpgrade). The writer's superhop fallbacks must show them.
+TEST(MutatorSeekSched, PinnedSeed_BorrowedStart_Refcount) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {1ull, 2ull, 5ull, 16ull, 28ull}) {
+        fallbacks += run_borrowed_write_window<valois_refcount>(seed, 0, 1);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule recycled the start's first cell";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_BorrowedStart_Hazard) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {1ull, 10ull, 24ull, 33ull}) {
+        fallbacks += run_borrowed_write_window<hazard_policy>(seed, 0, 1);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule recycled the start's first cell";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_BorrowedStart_EpochCompilesOut) {
+    for (std::uint64_t seed : {4ull, 9ull}) {
+        run_borrowed_write_window<epoch_policy>(seed, 0, 1);
+    }
+}
+
+TEST(MutatorSeekSched, PinnedSeed_LandingUpgrade_Refcount) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {3ull, 8ull, 47ull, 83ull, 136ull}) {
+        fallbacks += run_borrowed_write_window<valois_refcount>(seed, 3, 2);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule recycled a landing's pre_cell";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_LandingUpgrade_Hazard) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {13ull, 37ull, 41ull, 110ull}) {
+        fallbacks += run_borrowed_write_window<hazard_policy>(seed, 3, 2);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule recycled a landing's pre_cell";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_LandingUpgrade_EpochCompilesOut) {
+    for (std::uint64_t seed : {71ull, 79ull}) {
+        run_borrowed_write_window<epoch_policy>(seed, 3, 2);
     }
 }
 

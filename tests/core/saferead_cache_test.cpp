@@ -22,15 +22,24 @@ using namespace lfll;
 using map_t = sorted_list_map<int, int>;
 using pool_t = map_t::list_type::pool_type;
 
-/// Cursor-based lookup through the batched mutator seek (find_from).
-/// map::find() rides the read-only lookup, which takes no cursor and
-/// touches no cache; the seek path — what insert/erase position through — is the
-/// one that donates to and takes from the SafeRead cache, so these
-/// tests drive it directly. Returns the value at `key`, if present.
+/// Cursor-based lookup through the mutator seek (find_from). map::find()
+/// rides the read-only lookup, which takes no cursor and touches no
+/// cache; the cursor's first() re-derives its position (reposition) and
+/// parks the aux after First in the SafeRead cache. Returns the value at
+/// `key`, if present.
 std::optional<int> seek_find(map_t& map, int key) {
     map_t::cursor c(map.list());
     if (!map.find_from(key, c)) return std::nullopt;
     return (*c).second;
+}
+
+/// One write pair on `key`: erase it, then insert it back. The cache's
+/// take site is the mutators' aux re-pin (cached_protect before the
+/// Figs. 9-10 CAS); the erase's closing update() parks the aux at the
+/// erase site, which the insert then re-pins.
+void rewrite(map_t& map, int key) {
+    ASSERT_TRUE(map.erase(key));
+    ASSERT_TRUE(map.insert(key, key));
 }
 
 TEST(SafeReadCache, ParkAndTakeOnRepeatVisits) {
@@ -42,15 +51,12 @@ TEST(SafeReadCache, ParkAndTakeOnRepeatVisits) {
     ASSERT_TRUE(pool.saferead_cache_enabled());
     for (int k = 0; k < 8; ++k) map.insert(k, k);
     const auto before = pool.saferead_cache_stats();
-    for (int round = 0; round < 16; ++round) {
-        auto v = seek_find(map, 3);
-        ASSERT_TRUE(v.has_value());
-        EXPECT_EQ(*v, 3);
-    }
+    for (int round = 0; round < 16; ++round) rewrite(map, 3);
     const auto after = pool.saferead_cache_stats();
-    // Repeat visits to the same position re-take the parked references
-    // (seek -> reset parks the landing cells, the next seek takes them).
+    // Repeat writes at the same position re-take the parked references
+    // (an erase's update parks the aux at its site, the insert re-pins it).
     EXPECT_GT(after.hits, before.hits);
+    EXPECT_EQ(map.find(3), std::optional<int>(3));
     auto r = audit_list(map.list());
     EXPECT_TRUE(r.ok) << r.error;
 }
@@ -64,12 +70,20 @@ TEST(SafeReadCache, EvictionReleasesAndBalances) {
     map_t map(pool);
     for (int k = 0; k < 64; ++k) map.insert(k, k);
     const auto before = pool.saferead_cache_stats();
-    // Land on many distinct cells: each seek parks its landing cells,
-    // and a 4-entry cache must evict the LRU parked reference, releasing
-    // it at once (never a lost or doubled decrement).
-    for (int k = 0; k < 64; k += 3) {
-        ASSERT_TRUE(seek_find(map, k).has_value());
+    // Reposition after many distinct cells: each parks the aux after its
+    // cell, and a 4-entry cache must evict the LRU parked reference,
+    // releasing it at once (never a lost or doubled decrement).
+    map_t::cursor walker(map.list());
+    for (int k = 0; k < 63; ++k) {
+        if (k % 3 == 0) {
+            map_t::cursor c;
+            map.list().seek(c, walker.target());  // walker holds cell k
+            ASSERT_FALSE(c.at_end());
+            EXPECT_EQ((*c).first, k + 1);
+        }
+        ASSERT_TRUE(map.list().next(walker));
     }
+    walker.reset();
     const auto after = pool.saferead_cache_stats();
     EXPECT_GT(after.evictions, before.evictions);
     // The audit flushes every thread's parked references itself; a
@@ -89,9 +103,9 @@ TEST(SafeReadCache, AuditBalancesWithEntriesStillParked) {
     map_t map(pool);
     for (int k = 0; k < 8; ++k) map.insert(k, k);
     ASSERT_TRUE(seek_find(map, 5).has_value());
-    // The seek's cursor reset parked live references; the audit must
-    // account for them (its entry flush runs the real decrements) and
-    // still balance every §5 count.
+    // The cursor's first() parked a live reference on the aux after
+    // First; the audit must account for it (its entry flush runs the
+    // real decrement) and still balance every §5 count.
     ASSERT_GT(pool.saferead_cache_pending(), 0u);
     auto r = audit_list(map.list());
     EXPECT_TRUE(r.ok) << r.error;
@@ -100,26 +114,30 @@ TEST(SafeReadCache, AuditBalancesWithEntriesStillParked) {
 
 TEST(SafeReadCache, CrossIncarnationInvalidation) {
     pool_config cfg;
-    cfg.initial_capacity = 16;  // tiny: the erased cell recycles promptly
+    cfg.initial_capacity = 16;  // tiny: unlinked nodes recycle promptly
     cfg.saferead_cache = 1;
     pool_t pool(cfg);
     map_t map(pool);
     for (int k = 0; k < 4; ++k) map.insert(k, 100 + k);
-    // Park cell 2 in the cache, then decay the parked reference to a
-    // hint (flush releases the count but keeps the entry).
-    ASSERT_TRUE(seek_find(map, 2).has_value());
-    pool.flush_deferred_releases();
-    EXPECT_EQ(pool.saferead_cache_pending(), 0u);
-    // Recycle the hinted cell: erase, run the owed decrements, and
-    // reinsert — the node returns through the free list with a bumped
-    // incarnation (and may be handed right back to the new cell).
+    // Erasing 2 re-derives the cursor at the erase site, which parks the
+    // aux after cell 1 — now the aux before cell 3. Flush to decay the
+    // parked reference to a hint (the count is released, the entry kept).
     ASSERT_TRUE(map.erase(2));
     pool.flush_deferred_releases();
+    EXPECT_EQ(pool.saferead_cache_pending(), 0u);
+    // Recycle the hinted aux: erasing 3 unlinks the aux before it, which
+    // returns through the free list with a bumped incarnation (and may
+    // be handed right back as a new aux).
+    ASSERT_TRUE(map.erase(3));
+    pool.flush_deferred_releases();
     pool.drain_retired();
+    // The inserts' aux re-pins (cached_protect) may meet the stale hint
+    // at its old address: the take revalidates the incarnation and backs
+    // out, and the re-pin falls back to a plain protect.
     ASSERT_TRUE(map.insert(2, 202));
-    // The stale hint must not resurrect the old cell: a take attempt
-    // revalidates the incarnation and backs out, and the lookup lands
-    // on the new cell through the normal seek.
+    ASSERT_TRUE(map.insert(3, 203));
+    EXPECT_EQ(map.find(2), std::optional<int>(202));
+    EXPECT_EQ(map.find(3), std::optional<int>(203));
     auto v = seek_find(map, 2);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, 202);
@@ -160,10 +178,11 @@ TEST(SafeReadCache, CompiledOutUnderEpochs) {
 }
 
 /// Deterministic hit-rate floor: Zipf(0.99) keys over a 64-key map,
-/// fixed seed, single thread. The hot keys' landing cells stay parked
-/// between visits, so a healthy cache converts a solid fraction of the
-/// protect/copy traffic into zero-RMW takes. The floor is deliberately
-/// loose — it guards "the cache works at all", not a specific ratio.
+/// fixed seed, single thread, each visit an erase/insert pair. The hot
+/// keys' auxes stay parked between visits, so a healthy cache converts a
+/// solid fraction of the mutators' re-pin traffic into zero-RMW takes.
+/// The floor is deliberately loose — it guards "the cache works at
+/// all", not a specific ratio.
 TEST(SafeReadCache, ZipfHitRateFloor) {
     pool_config cfg;
     cfg.initial_capacity = 256;
@@ -177,8 +196,7 @@ TEST(SafeReadCache, ZipfHitRateFloor) {
     zipf_generator zipf(kKeys, 0.99);
     xorshift64 rng(0xC0FFEEULL);
     for (int i = 0; i < 20000; ++i) {
-        const int k = static_cast<int>(zipf(rng));
-        ASSERT_TRUE(seek_find(map, k).has_value());
+        ASSERT_NO_FATAL_FAILURE(rewrite(map, static_cast<int>(zipf(rng))));
     }
     const auto after = pool.saferead_cache_stats();
     const std::uint64_t hits = after.hits - before.hits;

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -308,6 +309,107 @@ TEST(TraverseFastPath, LookupLandingTakesNoReference) {
         for (std::size_t i = 0; i < dummies.size(); ++i) {
             EXPECT_EQ(dummies[i]->refct.load(), dummy_rc[i]) << "a find touched bucket dummy " << i;
         }
+    }
+}
+
+/// What a mutator's seek costs, single-threaded so the counts are exact.
+/// insert() and erase() walk read-only from a borrowed start (First, or
+/// the bucket dummy the directory slot pins) and take references only at
+/// the landing, where the Figs. 9-10 CASes go through them: a write that
+/// lands inside its first superhop segment leaves its start's count
+/// untouched. (An erase of the start's first cell does link the start,
+/// from the deleted cell's back_link, for as long as that cell lives —
+/// a cursor reference parked in the SafeRead cache can extend that, so
+/// erases are checked after a flush.) A seek-only write (insert of a
+/// present key, erase of an absent one) shows the seek's own protects:
+/// one for the landing, plus one per full segment crossed on the way.
+TEST(TraverseFastPath, MutatorSeekBorrowsItsStart) {
+    auto& ctr = lfll::instrument::tls();
+    {
+        using map_t = lfll::sorted_list_map<int, int>;
+        map_t map(256);
+        for (int k = 0; k < 200; ++k) map.insert(k, 1000 + k);
+        auto& pool = map.list().pool();
+        pool.flush_deferred_releases();
+        const auto* head = map.list().head();
+        const auto head_rc = head->refct.load();
+        for (int k : {0, 1, 7, 13}) {
+            auto reads0 = ctr.safe_reads.load();
+            EXPECT_FALSE(map.insert(k, 0));
+            EXPECT_LE(ctr.safe_reads.load() - reads0, 1u) << "insert(" << k << ") seek";
+            EXPECT_EQ(head->refct.load(), head_rc) << "insert(" << k << ") touched First";
+            EXPECT_TRUE(map.erase(k));
+            pool.flush_deferred_releases();
+            EXPECT_EQ(head->refct.load(), head_rc) << "erase(" << k << ") touched First";
+            reads0 = ctr.safe_reads.load();
+            EXPECT_FALSE(map.erase(k));
+            EXPECT_LE(ctr.safe_reads.load() - reads0, 1u) << "erase(" << k << ") seek";
+            EXPECT_TRUE(map.insert(k, 1000 + k));
+            EXPECT_EQ(head->refct.load(), head_rc) << "insert(" << k << ") touched First";
+        }
+        // Cell k is the (k+1)-th after First; as for lookups, landing on
+        // it crosses (k + 1) / 16 full segments.
+        for (int k : {14, 15, 16, 31, 32, 47, 100, 199, 250}) {
+            const auto reads0 = ctr.safe_reads.load();
+            if (k < 200) {
+                EXPECT_FALSE(map.insert(k, 0));
+            } else {
+                EXPECT_FALSE(map.erase(k));
+            }
+            const auto full = static_cast<std::uint64_t>(std::min(k, 200) + 1) / 16;
+            EXPECT_LE(ctr.safe_reads.load() - reads0, full + 1) << "seek to " << k;
+        }
+        EXPECT_EQ(head->refct.load(), head_rc);
+        for (int k = 0; k < 200; ++k) EXPECT_EQ(map.find(k), std::optional<int>(1000 + k));
+        auto r = lfll::audit_list(map.list());
+        EXPECT_TRUE(r.ok) << r.error;
+    }
+    {
+        using map_t = lfll::split_ordered_map<std::uint64_t, std::uint64_t>;
+        map_t map(lfll::split_ordered_config{64, 512});
+        for (std::uint64_t k = 0; k < 128; ++k) map.insert(k, 7 * k);
+        // Split every bucket first: a bucket's first access inserts its
+        // dummy, which is a write of its own.
+        for (std::uint64_t k = 0; k < 2048; ++k) (void)map.find(k);
+        map.pool().flush_deferred_releases();
+        // Every bucket is split, so the dummy right before k's cell is
+        // its bucket's: the start its writes borrow.
+        const auto start_of = [&map](std::uint64_t k) {
+            const map_t::node* start = nullptr;
+            for (auto* p = map.list().head()->next.load(); p != nullptr && !p->is_tail();
+                 p = p->next.load()) {
+                if (!p->is_cell()) continue;
+                if ((p->value().first.so & 1) == 0) start = p;
+                if (p->value().first.key == k && (p->value().first.so & 1) != 0) break;
+            }
+            return start;
+        };
+        for (std::uint64_t k : {0ull, 5ull, 77ull, 127ull}) {
+            const auto* start = start_of(k);
+            ASSERT_NE(start, nullptr);
+            map.pool().flush_deferred_releases();
+            const auto start_rc = start->refct.load();
+            auto reads0 = ctr.safe_reads.load();
+            EXPECT_FALSE(map.insert(k, 0));
+            EXPECT_LE(ctr.safe_reads.load() - reads0, 1u) << "insert(" << k << ") seek";
+            EXPECT_EQ(start->refct.load(), start_rc) << "insert(" << k << ") touched its dummy";
+            EXPECT_TRUE(map.erase(k));
+            map.pool().flush_deferred_releases();
+            EXPECT_EQ(start->refct.load(), start_rc) << "erase(" << k << ") touched its dummy";
+            reads0 = ctr.safe_reads.load();
+            EXPECT_FALSE(map.erase(k));
+            EXPECT_LE(ctr.safe_reads.load() - reads0, 1u) << "erase(" << k << ") seek";
+            EXPECT_EQ(start->refct.load(), start_rc) << "erase(" << k << ") touched its dummy";
+            EXPECT_TRUE(map.insert(k, 7 * k));
+            EXPECT_EQ(start->refct.load(), start_rc) << "insert(" << k << ") touched its dummy";
+        }
+        for (std::uint64_t k = 0; k < 128; ++k) {
+            EXPECT_EQ(map.find(k), std::optional<std::uint64_t>(7 * k));
+        }
+        std::map<const map_t::node*, std::size_t> external;
+        map.for_each_bucket_slot([&](std::size_t, const map_t::node* d) { external[d] += 1; });
+        auto r = lfll::audit_list(map.list(), external);
+        EXPECT_TRUE(r.ok) << r.error;
     }
 }
 

@@ -214,6 +214,65 @@ TEST(SchedExplore, SplitOrderedValoisRefcount) {
 TEST(SchedExplore, SplitOrderedHazard) { sweep_dict<so_shim<hazard_policy>>(kDictSeeds); }
 TEST(SchedExplore, SplitOrderedEpoch) { sweep_dict<so_shim<epoch_policy>>(kDictSeeds); }
 
+// Borrowed-start writes: every insert/erase seeks from a node its cursor
+// borrows — First for the sorted map, bucket 0's dummy for a one-bucket
+// split map that never grows — walks read-only, and takes references
+// only at its landing. The hot keys are the first cells after that
+// start, on a tiny pool, so the churn unlinks and recycles them under
+// other threads' walks and landing upgrades; a stable tail (keys 10-13)
+// keeps each landing inside a multi-cell segment.
+template <typename Policy>
+struct front_shim {
+    sorted_list_map<int, int, std::less<int>, Policy> m{16};
+    front_shim() {
+        for (int k = 10; k < 14; ++k) m.insert(k, k);
+    }
+    bool insert(int k) { return m.insert(k, k); }
+    bool erase(int k) { return m.erase(k); }
+    bool contains(int k) { return m.contains(k); }
+    audit_report audit() {
+        m.list().pool().drain_retired();
+        return audit_list(m.list());
+    }
+};
+template <typename Policy>
+struct front_so_shim {
+    static split_ordered_config one_bucket() {
+        split_ordered_config c;
+        c.initial_buckets = 1;
+        c.capacity_hint = 16;
+        c.max_buckets = 1;
+        return c;
+    }
+    split_ordered_map<int, int, std::hash<int>, std::less<int>, Policy> m{one_bucket()};
+    front_so_shim() {
+        for (int k = 10; k < 14; ++k) m.insert(k, k);
+    }
+    bool insert(int k) { return m.insert(k, k); }
+    bool erase(int k) { return m.erase(k); }
+    bool contains(int k) { return m.contains(k); }
+    audit_report audit() {
+        m.pool().drain_retired();
+        std::map<const typename decltype(m)::node*, std::size_t> external;
+        m.for_each_bucket_slot(
+            [&](std::size_t, typename decltype(m)::node* d) { external[d] += 1; });
+        return audit_list(m.list(), external);
+    }
+};
+
+TEST(SchedExplore, BorrowedStartWritesValoisRefcount) {
+    sweep_dict<front_shim<valois_refcount>>(kDictSeeds);
+    sweep_dict<front_so_shim<valois_refcount>>(kDictSeeds);
+}
+TEST(SchedExplore, BorrowedStartWritesHazard) {
+    sweep_dict<front_shim<hazard_policy>>(kDictSeeds);
+    sweep_dict<front_so_shim<hazard_policy>>(kDictSeeds);
+}
+TEST(SchedExplore, BorrowedStartWritesEpoch) {
+    sweep_dict<front_shim<epoch_policy>>(kDictSeeds);
+    sweep_dict<front_so_shim<epoch_policy>>(kDictSeeds);
+}
+
 // ------------------------------------------------------ queue sweep (FIFO)
 
 /// 2 producers x 8 items, 1 consumer with a bounded attempt budget (a
