@@ -18,11 +18,10 @@
 //
 // All functions here require quiescence (no concurrent mutators); the
 // stress tests call them after joining their worker threads. The audit
-// self-cleans at entry: it releases every thread's parked SafeRead-cache
-// references (a parked reference is an elevated count the in-degree
-// tally cannot see) and drains the policy's retired bank (a banked node still
-// carries its claim bit and sits on no free list, which would read as a
-// leak). Explicit drain_retired() calls before auditing remain harmless.
+// self-cleans at entry: it drains the policy's retired bank (a banked
+// node still carries its claim bit and sits on no free list, which would
+// read as a leak). Explicit drain_retired() calls before auditing remain
+// harmless.
 #pragma once
 
 #include <cstddef>
@@ -76,11 +75,9 @@ void tally_payload_links(const list_node<T, Policy>* n, Tally&& tally) {
 /// reference count for references held outside the structures (live
 /// cursors, unreleased make_cell/make_aux results).
 ///
-/// Takes the pool by mutable reference: the audit first releases every
-/// thread's parked SafeRead-cache references and drains the policy's
-/// retired bank, so the exact-count check below holds even when
-/// traversals parked references (a parked reference is an elevated count
-/// the in-degree tally cannot see).
+/// Takes the pool by mutable reference: the audit first drains the
+/// policy's retired bank, so the exact-count check below sees every
+/// retired node back on the free list.
 template <typename T, typename Policy>
 audit_report audit_shared(
     node_pool<list_node<T, Policy>, Policy>& pool,
@@ -88,7 +85,6 @@ audit_report audit_shared(
     const std::map<const list_node<T, Policy>*, std::size_t>& external_refs = {}) {
     using node = list_node<T, Policy>;
     audit_report r;
-    pool.flush_all_deferred_releases();
     pool.drain_retired();
 
     std::map<const node*, std::size_t> indegree;

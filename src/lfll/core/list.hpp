@@ -58,17 +58,13 @@
 //     and a re-sweep of the WHOLE snapshot, which proves the reference
 //     attached to the node the snapshot read. next() is the same seek,
 //     one cell long.
-//  6. A per-thread SafeRead cache (node_pool): the aux-hint demotion
-//     DONATES its departing reference (drop_to_cache) instead of
-//     releasing it; the mutators' aux re-pin (cached_protect) takes it
-//     back for zero RMWs when the hot aux repeats.
-//  7. Read-only landing (lookup_from): a point lookup's superhop ends
+//  6. Read-only landing (lookup_from): a point lookup's superhop ends
 //     at its landing cell like a seek's but takes no reference there;
 //     from a borrowed start, a lookup landing inside its first segment
 //     does no RMW at all.
 //
 // Mutators never trust the hint: try_insert/try_delete re-pin the
-// CURRENT aux via cached_protect(pre_cell->next) — the swing's
+// CURRENT aux via protect(pre_cell->next) — the swing's
 // CAS-expected target still detects staleness, exactly as in Figs.
 // 9-10.
 #pragma once
@@ -195,9 +191,6 @@ public:
         /// detached.
         void reset() noexcept {
             if (list_ == nullptr) return;
-            // Released at once, not parked in the SafeRead cache: no site
-            // takes a cell back from it, and a parked deleted cell would
-            // pin every node unlinked after it along its next links.
             if (pre_held_) list_->pool_->drop(pre_cell_);
             list_->pool_->drop(target_);  // pre_aux_ is a hint: nothing to drop
             pre_cell_ = pre_aux_ = target_ = nullptr;
@@ -385,9 +378,7 @@ public:
         // an unreferenced hint and must not be CAS'd through. The swing's
         // expected == target still detects staleness — if pa is not the
         // aux before target, the CAS fails and the caller update()s.
-        // cached_protect: after a reposition or update that parked this
-        // very aux, the re-pin is a zero-RMW transfer of that reference.
-        node* pa = pool_->cached_protect(c.pre_cell_->next);
+        node* pa = pool_->protect(c.pre_cell_->next);
         if (pa == nullptr || !pa->is_aux()) {  // defensive: see reposition()
             pool_->drop(pa);
             instrument::tls().insert_retries++;
@@ -442,7 +433,7 @@ public:
         // aux is re-pinned from the ref'd pre_cell (the cursor's pre_aux_
         // is an unreferenced hint); the CAS expecting d detects staleness.
         node* n = pool_->protect(d->next);
-        node* pa = pool_->cached_protect(c.pre_cell_->next);
+        node* pa = pool_->protect(c.pre_cell_->next);
         if (pa == nullptr || !pa->is_aux() || !swing(pa->next, d, n)) {
             pool_->drop(pa);
             pool_->drop(n);
@@ -771,10 +762,8 @@ private:
             n = nn;
         }
         c.pre_aux_ = p;
-        // Demote to hint: the reference is not kept by the cursor. Parking
-        // it (drop_to_cache) keeps the hot aux takeable by the mutators'
-        // cached_protect re-pin — and, while parked, pins the hint itself.
-        pool_->drop_to_cache(p);
+        // Demote to hint: the reference is not kept by the cursor.
+        pool_->drop(p);
         c.target_ = n;
         if (node* nx = n->next.load(std::memory_order_relaxed)) {
             __builtin_prefetch(static_cast<const void*>(nx), 0, 1);

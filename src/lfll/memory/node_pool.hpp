@@ -100,43 +100,6 @@
 //    mag_rounds pool ops). Magazines, like slabs, are never freed while
 //    the pool lives, so a stale depot pointer is always dereferenceable.
 //
-// --- Per-thread SafeRead cache (traversal fast path, counting policies) --
-//
-// Repeat visits to hot nodes — the aux a mutator re-pins before its CAS,
-// the neighborhood of a Zipf-hot key — pay one SafeRead RMW per visit even
-// though the same thread held a reference to the same node microseconds
-// ago. The SafeRead cache turns that round trip into a reference
-// *transfer*: drop_to_cache() parks a departing reference in a small
-// per-thread table (riding in the same registry record as the magazine
-// cache) instead of decrementing, and cached_protect() takes it back
-// with a plain identity compare — zero RMWs on a hit. Entries come in
-// two states:
-//
-//  * referenced — the entry holds a live counted reference, donated by
-//    drop_to_cache(). The reference pins the node (its incarnation
-//    cannot move), so a take is: pointer compare, hand the reference
-//    over, done. The entry decays to a hint.
-//  * hint — the {node, incarnation} pair left behind by a take or a
-//    quiescent flush. A take revalidates with the try_ref + incarnation
-//    sandwich: try_ref refuses claimed nodes, and an unchanged
-//    incarnation across that RMW proves the node was never reclaimed
-//    since the hint was recorded (on_reclaim's bump is sequenced before
-//    refct_unclaim_to_one, and the refct RMW chain release-sequences the
-//    bump to us). Cost equals a plain ref — the hint never loses.
-//
-// A parked reference only DELAYS reclamation (never enables an early
-// free), capacity bounds how many references per thread are parked, and
-// every quiescent boundary (audits, thread exit, pool teardown, alloc
-// pressure) releases the cached references, so §5 count audits stay
-// exact. Capacity evictions release the victim's reference at once. A
-// parked node that is unlinked meanwhile keeps alive every node its next
-// link still reaches, so only what the take site re-pins is parked.
-//
-// Toggle: LFLL_SAFEREAD_CACHE CMake option / env var /
-// set_saferead_cache_override() / pool_config::saferead_cache;
-// LFLL_SAFEREAD_CACHE_SIZE and pool_config::saferead_cache_size set the
-// per-thread entry count (default 16, organized as 2-way sets).
-//
 // Node requirements (duck-typed; valois_list::node and the baselines'
 // nodes satisfy them):
 //    derives from Policy::header (provides std::atomic<refct_t> refct)
@@ -148,7 +111,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -208,66 +170,6 @@ inline bool magazine_default() noexcept {
     return env_default;
 }
 
-namespace detail {
-/// Process-wide SafeRead-cache override, mirroring the magazine one.
-inline std::atomic<int>& saferead_cache_override_flag() noexcept {
-    static std::atomic<int> v{-1};
-    return v;
-}
-
-/// Nodes eligible for the SafeRead cache expose the recycle counter the
-/// hint revalidation keys on (list_node does; the baselines' plainer
-/// nodes do not, and simply never cache).
-template <typename N>
-concept node_with_incarnation = requires(const N& n) {
-    { n.incarnation.load(std::memory_order_relaxed) }
-        -> std::convertible_to<std::uint64_t>;
-};
-}  // namespace detail
-
-/// Forces the SafeRead-cache default for subsequently constructed pools
-/// (0 = off, 1 = on, -1 = back to the build/env default). Benches use
-/// this for in-process A/B sweeps; existing pools are unaffected.
-inline void set_saferead_cache_override(int v) noexcept {
-    detail::saferead_cache_override_flag().store(v < 0 ? -1 : (v != 0),
-                                                 std::memory_order_relaxed);
-}
-
-/// Default for pool_config::saferead_cache: the LFLL_SAFEREAD_CACHE CMake
-/// option (compile-time), overridden by the LFLL_SAFEREAD_CACHE env var
-/// (0/1), and then by set_saferead_cache_override().
-inline bool saferead_cache_default() noexcept {
-    const int o =
-        detail::saferead_cache_override_flag().load(std::memory_order_relaxed);
-    if (o >= 0) return o != 0;
-    static const bool env_default = [] {
-#if defined(LFLL_SAFEREAD_CACHE) && LFLL_SAFEREAD_CACHE == 0
-        bool on = false;
-#else
-        bool on = true;
-#endif
-        const char* e = std::getenv("LFLL_SAFEREAD_CACHE");
-        if (e != nullptr && e[0] != '\0') on = !(e[0] == '0' || e[0] == 'n' || e[0] == 'N');
-        return on;
-    }();
-    return env_default;
-}
-
-/// Default for pool_config::saferead_cache_size: 16 entries per thread,
-/// overridden by the LFLL_SAFEREAD_CACHE_SIZE env var.
-inline std::size_t saferead_cache_size_default() noexcept {
-    static const std::size_t v = [] {
-        std::size_t n = 16;
-        const char* e = std::getenv("LFLL_SAFEREAD_CACHE_SIZE");
-        if (e != nullptr && e[0] != '\0') {
-            const long parsed = std::strtol(e, nullptr, 10);
-            if (parsed > 0) n = static_cast<std::size_t>(parsed);
-        }
-        return n;
-    }();
-    return v;
-}
-
 /// Construction-time knobs for node_pool.
 struct pool_config {
     std::size_t initial_capacity = 1024;
@@ -276,14 +178,6 @@ struct pool_config {
     /// Node pointers per magazine; 0 = auto (scaled to initial_capacity,
     /// clamped to [8, 64] so small per-bucket pools keep small caches).
     std::size_t mag_rounds = 0;
-    /// -1 = saferead_cache_default(), 0 = off, 1 = on. Only counting
-    /// policies (and nodes with an incarnation word) cache; elsewhere the
-    /// cache entry points degrade to protect()/drop().
-    int saferead_cache = -1;
-    /// Per-thread SafeRead-cache entries; 0 = auto
-    /// (saferead_cache_size_default(), normally 16). Rounded up to the
-    /// 2-way set geometry (sets are a power of two).
-    std::size_t saferead_cache_size = 0;
 };
 
 template <typename Node, typename Policy = valois_refcount>
@@ -299,9 +193,9 @@ public:
     using guard = policy_guard<Policy>;
 
     /// Whether traversal references hit the count word under this policy.
-    /// Clients gate the counted-traversal fast paths (hand-over-hand ref
-    /// transfer, the SafeRead cache) on this: under epochs drop()/copy()
-    /// are free and the fast path would be a pessimization.
+    /// Clients gate the counted-traversal fast path (hand-over-hand ref
+    /// transfer) on this: under epochs drop()/copy() are free and the
+    /// fast path would be a pessimization.
     static constexpr bool counts_traversal = Policy::counted_traversal;
 
     /// Creates a pool with `initial_capacity` pre-allocated nodes. The pool
@@ -314,15 +208,7 @@ public:
         : mag_on_(cfg.magazines < 0 ? magazine_default() : cfg.magazines != 0),
           mag_rounds_(cfg.mag_rounds != 0
                           ? cfg.mag_rounds
-                          : std::clamp<std::size_t>(cfg.initial_capacity / 4, 8, 64)),
-          sr_on_(sr_cacheable && (cfg.saferead_cache < 0
-                                      ? saferead_cache_default()
-                                      : cfg.saferead_cache != 0)),
-          sr_sets_(std::bit_ceil(std::max<std::size_t>(
-                       2, cfg.saferead_cache_size != 0
-                              ? cfg.saferead_cache_size
-                              : saferead_cache_size_default()) /
-                   2)) {
+                          : std::clamp<std::size_t>(cfg.initial_capacity / 4, 8, 64)) {
         // Health gauges, labelled by policy and shared by every pool under
         // that policy (last-sampled instance wins; see docs/telemetry.md).
         // Resolved once here so the sampling sites are a relaxed store.
@@ -336,9 +222,6 @@ public:
         g_mag_misses_ = &reg.get_counter("lfll_pool_magazine_misses_total", label);
         g_mag_flushes_ = &reg.get_counter("lfll_pool_magazine_flushes_total", label);
         g_mag_depot_ = &reg.get_gauge("lfll_pool_magazine_depot_full", label);
-        g_sr_hits_ = &reg.get_counter("lfll_saferead_cache_hits_total", label);
-        g_sr_misses_ = &reg.get_counter("lfll_saferead_cache_misses_total", label);
-        g_sr_evictions_ = &reg.get_counter("lfll_saferead_cache_evictions_total", label);
         g_backlog_->set(0);  // registered (and correct) even before any retire
         grow(cfg.initial_capacity == 0 ? 1 : cfg.initial_capacity);
     }
@@ -346,14 +229,11 @@ public:
     /// Flushes anything the policy still has banked back onto the free
     /// list (the reclaim callback touches pool internals, so this must
     /// complete before members die; domain_ is declared last and thus
-    /// destroyed first as a backstop). Parked SafeRead-cache references
-    /// flush FIRST: a parked reference holds the count up, so the retire
-    /// it would trigger hasn't happened yet and the drain would miss it.
-    /// Magazines are flushed after the drain (the drain may land nodes in
-    /// this thread's magazines) and their registry records detached so
-    /// exiting threads skip the dead pool.
+    /// destroyed first as a backstop). Magazines are flushed after the
+    /// drain (the drain may land nodes in this thread's magazines) and
+    /// their registry records detached so exiting threads skip the dead
+    /// pool.
     ~node_pool() {
-        flush_all_deferred_releases();
         drain_retired();
         detach_caches();
         assert(domain_.retired_count() == 0 &&
@@ -377,7 +257,7 @@ public:
     Node* alloc() {
         instrument::tls().nodes_allocated++;
         // Sampled-op attribution: everything below — magazine hit or
-        // miss, free-list pop, cache flush, grow — is alloc time.
+        // miss, free-list pop, grow — is alloc time.
         telemetry::prof::phase_scope prof_phase(telemetry::prof::phase::alloc);
         for (;;) {
             if (mag_on_) {
@@ -387,17 +267,6 @@ public:
             }
             Node* q = free_list_read(free_head_);
             if (q == nullptr) {
-                // Parked SafeRead-cache references can hold the only free
-                // nodes of a tiny pool captive; release our own before
-                // touching the arena.
-                if constexpr (sr_cacheable) {
-                    mag_cache* c = this_thread_cache();
-                    if (c->sr_live > 0) {
-                        testing_hooks::chaos_point(sched::step_kind::flush);
-                        flush_scache(*c);
-                        continue;
-                    }
-                }
                 // Reclaim pressure before growing: a deferred policy may
                 // have a long retire cascade banked (e.g. the queue's
                 // dummy chain, which frees strictly one node per pass).
@@ -506,107 +375,6 @@ public:
         }
     }
 
-    // --- per-thread SafeRead cache (traversal fast path) -------------------
-
-    /// As protect(), but a cache hit on the location's current value
-    /// transfers a parked reference: the reference predates the load, so
-    /// the postcondition ("the returned node was the location's value at
-    /// some instant during the call, and is unreclaimed while held") is
-    /// exactly SafeRead's.
-    Node* cached_protect(const std::atomic<Node*>& location) noexcept {
-        if constexpr (sr_cacheable) {
-            if (sr_on_) {
-                Node* q = location.load(std::memory_order_acquire);
-                if (q == nullptr) return nullptr;
-                mag_cache* c = this_thread_cache();
-                if (sr_take(*c, q)) return q;
-            }
-        }
-        return protect(location);
-    }
-
-    /// Drops a traversal reference by donating it to this thread's
-    /// SafeRead cache (falling back to drop() when caching is off or the
-    /// node already has a parked reference). A parked reference can only
-    /// DELAY reclamation; capacity evictions release theirs at once.
-    /// Traversal code calls this for the aux-hint demotion — the aux the
-    /// next mutator re-pins (cached_protect) before its CAS.
-    void drop_to_cache(Node* p) {
-        if constexpr (sr_cacheable) {
-            if (p == nullptr) return;
-            if (sr_on_) {
-                mag_cache* c = this_thread_cache();
-                if (sr_donate(*c, p)) return;  // the reference parks
-            }
-        }
-        drop(p);  // cache off / declined; no-op under epochs
-    }
-
-    /// Whether cached_protect/drop_to_cache actually cache on this pool.
-    bool saferead_cache_enabled() const noexcept { return sr_on_; }
-
-    /// Per-thread SafeRead-cache entry capacity (2 ways per set).
-    std::size_t saferead_cache_capacity() const noexcept { return 2 * sr_sets_; }
-
-    /// This thread's currently parked reference count (test hook).
-    std::size_t saferead_cache_pending() {
-        if constexpr (sr_cacheable) {
-            return this_thread_cache()->sr_live;
-        } else {
-            return 0;
-        }
-    }
-
-    struct saferead_cache_counters {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
-    };
-
-    /// This thread's cumulative take/donate tallies (test hook; the
-    /// telemetry registry rows aggregate the same numbers per policy).
-    saferead_cache_counters saferead_cache_stats() {
-        saferead_cache_counters out;
-        if constexpr (sr_cacheable) {
-            mag_cache* c = this_thread_cache();
-            out.hits = c->sr_hits;
-            out.misses = c->sr_misses;
-            out.evictions = c->sr_evictions;
-        }
-        return out;
-    }
-
-    /// Releases this thread's parked SafeRead-cache references (the real
-    /// decrements, which may cascade reclamation); entries decay to hints.
-    /// Audits flush all threads via flush_all_deferred_releases().
-    void flush_deferred_releases() {
-        if constexpr (sr_cacheable) {
-            mag_cache* c = this_thread_cache();
-            if (c->sr_live > 0) {
-                telemetry::prof::phase_scope prof_phase(telemetry::prof::phase::reclaim);
-                testing_hooks::chaos_point(sched::step_kind::flush);
-                flush_scache(*c);
-            }
-        }
-    }
-
-    /// Quiescent: releases EVERY thread's parked SafeRead-cache
-    /// references. Audits and the destructor run this so parked
-    /// references cannot mask a leak or block retirement. Only meaningful
-    /// while no other thread is mutating the pool.
-    void flush_all_deferred_releases() {
-        if constexpr (sr_cacheable) {
-            // Materialize this thread's record BEFORE locking: a flush
-            // cascade can reach mag_free -> this_thread_cache, which must
-            // not take the registry mutex we hold (it is not recursive).
-            (void)this_thread_cache();
-            std::lock_guard lk(registry_mutex());
-            for (mag_cache* c = cache_records_; c != nullptr; c = c->next_record) {
-                flush_scache(*c);
-            }
-        }
-    }
-
     // --- legacy names (paper vocabulary; §5-faithful under the default
     // policy, where every reference is a counted reference) -----------------
 
@@ -683,17 +451,7 @@ public:
     /// to the global free list. Tests and A/B harnesses use it to compare
     /// the raw Fig. 17/18 path; the destructor runs it implicitly.
     void flush_magazines() {
-        // Own record first: reclaim cascades triggered below reach
-        // mag_free -> this_thread_cache, which must not lock the held
-        // registry mutex on a record miss.
-        (void)this_thread_cache();
         std::lock_guard lk(registry_mutex());
-        // Parked references first, in a separate pass: their cascades can
-        // land nodes in this thread's magazines, which the second pass
-        // then flushes regardless of record order.
-        for (mag_cache* c = cache_records_; c != nullptr; c = c->next_record) {
-            flush_scache(*c);
-        }
         for (mag_cache* c = cache_records_; c != nullptr; c = c->next_record) {
             flush_cache(*c);
         }
@@ -729,11 +487,6 @@ public:
 private:
     static constexpr bool policy_counts_traversal = Policy::counted_traversal;
 
-    /// The SafeRead cache only pays off where traversal references cost an
-    /// RMW, and its hint revalidation needs the node's recycle counter.
-    static constexpr bool sr_cacheable =
-        policy_counts_traversal && detail::node_with_incarnation<Node>;
-
     /// `count` nodes placement-constructed at the start of `mem`.
     struct slab {
         detail::slab_memory mem;
@@ -765,21 +518,6 @@ private:
         std::unique_ptr<Node*[]> rounds;
     };
 
-    /// One SafeRead-cache way. Two states:
-    ///  - referenced (refd): the entry owns a parked counted reference to
-    ///    p; `inc` was read while referenced, so it is pinned — the node
-    ///    cannot be reclaimed (and the incarnation cannot move) until the
-    ///    reference leaves. A take transfers the reference for zero RMWs.
-    ///  - hint (!refd, after a take or a quiescent flush): no reference
-    ///    held; a take must try_ref and revalidate `inc` — same RMW cost
-    ///    as a plain acquisition, never worse.
-    struct sr_entry {
-        Node* p = nullptr;
-        std::uint64_t inc = 0;
-        std::uint64_t tick = 0;  ///< last touch (LRU within the set)
-        bool refd = false;
-    };
-
     /// Per-(thread, pool) magazine cache. Hot fields are owner-only while
     /// the pool lives; owner/next_record are serialized by
     /// registry_mutex(). hit/miss/flush tallies are folded into the
@@ -797,20 +535,6 @@ private:
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t flushes = 0;
-        /// SafeRead cache: 2-way set-associative table of recently visited
-        /// nodes (see the header comment). Lazily sized to 2 * sr_sets_.
-        /// sr_hits/misses/evictions are cumulative (the per-thread test
-        /// hook reads them raw); the *_folded high-water marks track what
-        /// fold_stats() already pushed to the registry.
-        std::unique_ptr<sr_entry[]> scache;
-        std::uint64_t sr_tick = 0;
-        std::uint32_t sr_live = 0;  ///< entries currently holding a reference
-        std::uint64_t sr_hits = 0;
-        std::uint64_t sr_misses = 0;
-        std::uint64_t sr_evictions = 0;
-        std::uint64_t sr_hits_folded = 0;
-        std::uint64_t sr_misses_folded = 0;
-        std::uint64_t sr_evictions_folded = 0;
         node_pool* owner = nullptr;
         mag_cache* next_record = nullptr;
 
@@ -1053,11 +777,8 @@ private:
 
     /// Quiescent: returns a cache's nodes to the global free list, its
     /// magazines to the empty depot, and folds its stat tallies. Caller
-    /// holds registry_mutex(); the cache flush's reclaim cascade can land
-    /// nodes back in THIS thread's magazines, which is why the pool-wide
-    /// walkers flush every SafeRead cache before flushing magazines.
+    /// holds registry_mutex().
     void flush_cache(mag_cache& c) {
-        flush_scache(c);
         for (magazine** slot : {&c.active, &c.prev}) {
             magazine* m = *slot;
             if (m == nullptr) continue;
@@ -1094,7 +815,6 @@ private:
     /// this pool (their owning threads delete them at thread exit), and
     /// empty the depot so no node dies inside a magazine.
     void detach_caches() {
-        (void)this_thread_cache();  // see flush_magazines
         std::lock_guard lk(registry_mutex());
         for (mag_cache* c = cache_records_; c != nullptr;) {
             mag_cache* next = c->next_record;
@@ -1134,152 +854,7 @@ private:
             g_mag_flushes_->add(c.flushes);
             c.flushes = 0;
         }
-        if (c.sr_hits != c.sr_hits_folded) {
-            g_sr_hits_->add(c.sr_hits - c.sr_hits_folded);
-            c.sr_hits_folded = c.sr_hits;
-        }
-        if (c.sr_misses != c.sr_misses_folded) {
-            g_sr_misses_->add(c.sr_misses - c.sr_misses_folded);
-            c.sr_misses_folded = c.sr_misses;
-        }
-        if (c.sr_evictions != c.sr_evictions_folded) {
-            g_sr_evictions_->add(c.sr_evictions - c.sr_evictions_folded);
-            c.sr_evictions_folded = c.sr_evictions;
-        }
         g_mag_depot_->set(depot_full_count_.load(std::memory_order_relaxed));
-    }
-
-    // --- SafeRead cache internals ------------------------------------------
-
-    /// Set index for a node: cell-granular bits of the address (nodes are
-    /// cacheline-ish sized slab slots, so >>6 strips the intra-node bits;
-    /// the ^(>>9) fold keeps neighbouring slab slots from all landing in
-    /// one set).
-    std::size_t sr_set(const Node* p) const noexcept {
-        const auto u = reinterpret_cast<std::uintptr_t>(p);
-        return ((u >> 6) ^ (u >> 9)) & (sr_sets_ - 1);
-    }
-
-    /// Victim preference within a set: an empty way is free, overwriting a
-    /// hint loses nothing, and only as a last resort does an LRU parked
-    /// reference get evicted. Ties break to the older tick.
-    static bool sr_cheaper_victim(const sr_entry& a, const sr_entry& b) noexcept {
-        const int ca = a.p == nullptr ? 0 : (a.refd ? 2 : 1);
-        const int cb = b.p == nullptr ? 0 : (b.refd ? 2 : 1);
-        if (ca != cb) return ca < cb;
-        return a.tick < b.tick;
-    }
-
-    /// Tries to satisfy a reference acquisition on `p` from this thread's
-    /// cache. Identity is the CALLER's problem: `p` must be the value just
-    /// loaded from a live location (cached_protect) — the cache only
-    /// supplies the reference, never the pointer. On a referenced hit the parked
-    /// reference transfers to the caller with zero RMWs and the entry
-    /// decays to a hint; on a hint hit the cost equals a plain try_ref
-    /// plus an incarnation sandwich that rejects nodes recycled since the
-    /// hint was recorded.
-    bool sr_take(mag_cache& c, Node* p) {
-        if (c.scache != nullptr) {
-            sr_entry* set = &c.scache[2 * sr_set(p)];
-            for (int w = 0; w < 2; ++w) {
-                sr_entry& e = set[w];
-                if (e.p != p) continue;
-                if (e.refd) {
-                    // Transfer the parked reference. The count word is not
-                    // touched; the reference predates the caller's load, so
-                    // SafeRead's postcondition holds a fortiori.
-                    testing_hooks::chaos_point(sched::step_kind::safe_read_cache);
-                    e.refd = false;
-                    c.sr_live--;
-                    e.tick = ++c.sr_tick;
-                    c.sr_hits++;
-                    return true;
-                }
-                // Hint: acquire a real reference, then prove the node was
-                // never reclaimed since the hint was recorded. try_ref can
-                // bless a RECYCLED node (dead, reclaimed, re-allocated —
-                // count live again); the incarnation bump in on_reclaim()
-                // is sequenced before the refct release that a successful
-                // try_ref synchronizes with, so an unchanged incarnation
-                // here rules that interleaving out.
-                testing_hooks::chaos_point(sched::step_kind::safe_read_cache);
-                if (!try_ref(p)) break;
-                if (p->incarnation.load(std::memory_order_acquire) != e.inc) {
-                    // Recycled since hinted: undo with a FULL unref — the
-                    // node may be dying right now, and a blind fetch_sub
-                    // could strand the claim.
-                    testing_hooks::chaos_point(sched::step_kind::safe_read_cache);
-                    unref(p);
-                    e.p = nullptr;
-                    break;
-                }
-                e.tick = ++c.sr_tick;
-                c.sr_hits++;
-                return true;
-            }
-        }
-        c.sr_misses++;
-        return false;
-    }
-
-    /// Parks a counted reference to `p` that the caller owns and is giving
-    /// up. Returns true when the cache adopted the reference (the caller
-    /// must NOT release it), false when the node already has one parked
-    /// (the caller keeps releasing its own copy). A set with no cheaper
-    /// way evicts its LRU parked reference, releasing it at once like
-    /// any departing hop reference.
-    bool sr_donate(mag_cache& c, Node* p) {
-        if (c.scache == nullptr) c.scache = std::make_unique<sr_entry[]>(2 * sr_sets_);
-        sr_entry* set = &c.scache[2 * sr_set(p)];
-        sr_entry* v = &set[0];
-        for (int w = 0; w < 2; ++w) {
-            sr_entry& e = set[w];
-            if (e.p == p) {
-                if (e.refd) return false;  // one parked reference per node
-                // Hint upgrade: adopt the reference and re-pin the
-                // incarnation (our reference makes the read stable — a
-                // stale hint is simply refreshed).
-                testing_hooks::chaos_point(sched::step_kind::safe_read_cache);
-                e.inc = p->incarnation.load(std::memory_order_acquire);
-                e.refd = true;
-                e.tick = ++c.sr_tick;
-                c.sr_live++;
-                return true;
-            }
-            if (sr_cheaper_victim(e, *v)) v = &e;
-        }
-        if (v->refd) {
-            testing_hooks::chaos_point(sched::step_kind::safe_read_cache);
-            Node* old = v->p;
-            v->p = nullptr;
-            v->refd = false;
-            c.sr_live--;
-            c.sr_evictions++;
-            unref(old);
-        }
-        v->p = p;
-        v->inc = p->incarnation.load(std::memory_order_acquire);
-        v->refd = true;
-        v->tick = ++c.sr_tick;
-        c.sr_live++;
-        return true;
-    }
-
-    /// Releases every parked reference in a cache; entries decay to hints
-    /// (still takeable via revalidation). No chaos points: the pool-wide
-    /// callers hold registry_mutex() and must not yield to a serialized
-    /// sched session. Safe on caches whose policy never caches (sr_live
-    /// stays 0).
-    void flush_scache(mag_cache& c) {
-        if (c.sr_live == 0) return;
-        const std::size_t n = 2 * sr_sets_;
-        for (std::size_t i = 0; i < n && c.sr_live > 0; ++i) {
-            sr_entry& e = c.scache[i];
-            if (!e.refd) continue;
-            e.refd = false;
-            c.sr_live--;
-            unref(e.p);
-        }
     }
 
     // --- global free list (Figs. 17-18) -----------------------------------
@@ -1442,13 +1017,8 @@ private:
     telemetry::counter* g_mag_misses_ = nullptr;
     telemetry::counter* g_mag_flushes_ = nullptr;
     telemetry::gauge* g_mag_depot_ = nullptr;
-    telemetry::counter* g_sr_hits_ = nullptr;
-    telemetry::counter* g_sr_misses_ = nullptr;
-    telemetry::counter* g_sr_evictions_ = nullptr;
     const bool mag_on_;
     const std::size_t mag_rounds_;
-    const bool sr_on_;
-    const std::size_t sr_sets_;
     const std::uint64_t pool_id_ = next_policy_domain_id();
     // Contended heads each own a cache line (free_head_ is hammered by the
     // magazine-off path and overflows; the depot heads by magazine

@@ -8,8 +8,15 @@
 // magazine flush, which takes the registry mutex and touches the shared
 // depot) concurrently with still-serialized peers, reintroducing exactly
 // the nondeterminism this subsystem exists to remove.
+//
+// Each worker also seeds its profiler stream from (session seed, slot)
+// before attaching. The profiler's own per-thread seed comes from a
+// process-wide thread ordinal and its slow-op capture from the clock;
+// either would make a session's `sample` and `slow_capture` steps
+// depend on what ran earlier in the process, not on the seed alone.
 #pragma once
 
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <latch>
@@ -18,6 +25,7 @@
 #include <vector>
 
 #include "lfll/sched/scheduler.hpp"
+#include "lfll/telemetry/profiler.hpp"
 
 namespace lfll::sched {
 
@@ -34,6 +42,8 @@ inline void run(const options& o, std::vector<std::function<void()>> fns) {
     workers.reserve(fns.size());
     for (int i = 0; i < n; ++i) {
         workers.emplace_back([&, i, fn = std::move(fns[static_cast<std::size_t>(i)])] {
+            std::uint64_t stream = o.seed ^ (0x100000001b3ULL * static_cast<std::uint64_t>(i + 1));
+            telemetry::prof::testing::seed_thread(detail::mix64(stream));
             s.attach(i);
             fn();
             s.detach();

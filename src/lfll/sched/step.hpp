@@ -28,7 +28,6 @@ enum class step_kind : std::uint8_t {
     retire,          ///< before banking a dead node with a deferred policy
     drain,           ///< before a policy drain/scan boundary
     ref_transfer,    ///< inside the fast hop's elided-aux window (hint load -> validate)
-    flush,           ///< before releasing parked SafeRead-cache references
     resize,          ///< inside a hash-table split window (directory grow,
                      ///< lazy dummy insert, bucket-slot publish)
     sample,          ///< inside the profiler's sampling/arming decision
@@ -38,7 +37,6 @@ enum class step_kind : std::uint8_t {
                      ///< payload copy and its per-cell re-check, before a read-only
                      ///< landing's sweep, and in the snapshot -> referenced-cursor
                      ///< handoff window (landing try_ref + incarnation sweep)
-    safe_read_cache, ///< inside the TLS SafeRead cache's take/donate/evict windows
     version_publish, ///< between a structural win (link/mark CAS) and the
                      ///< publication of its version stamp or victim hand-off
     rq_validate,     ///< inside a range query's slot claim / activate / retire
@@ -48,7 +46,7 @@ enum class step_kind : std::uint8_t {
                      ///< executor's ring drain / completion publish
 };
 
-inline constexpr int step_kind_count = 22;
+inline constexpr int step_kind_count = 20;
 
 constexpr const char* step_name(step_kind k) noexcept {
     switch (k) {
@@ -65,12 +63,10 @@ constexpr const char* step_name(step_kind k) noexcept {
         case step_kind::retire:     return "retire";
         case step_kind::drain:      return "drain";
         case step_kind::ref_transfer:     return "ref_transfer";
-        case step_kind::flush:            return "flush";
         case step_kind::resize:           return "resize";
         case step_kind::sample:           return "sample";
         case step_kind::slow_capture:     return "slow_capture";
         case step_kind::batch_seek:       return "batch_seek";
-        case step_kind::safe_read_cache:  return "safe_read_cache";
         case step_kind::version_publish:  return "version_publish";
         case step_kind::rq_validate:      return "rq_validate";
         case step_kind::batch_drain:      return "batch_drain";

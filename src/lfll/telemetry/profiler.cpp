@@ -85,6 +85,9 @@ void set_rate_override(std::int64_t r) noexcept {
 void set_slow_ns_override(std::int64_t ns) noexcept {
     slow_ns_override().store(ns, std::memory_order_relaxed);
 }
+bool slow_ns_overridden() noexcept {
+    return slow_ns_override().load(std::memory_order_relaxed) >= 0;
+}
 
 namespace detail {
 

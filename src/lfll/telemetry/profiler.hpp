@@ -68,7 +68,7 @@ enum class phase : std::uint8_t {
     cas_retry,     ///< re-validating + retrying after a failed TryInsert/TryDelete
     safe_read,     ///< the fully counted SafeRead repositioning slow path
     alloc,         ///< node_pool Alloc (magazine hit or miss)
-    reclaim,       ///< retire/drain/parked-reference-flush work
+    reclaim,       ///< retire/drain/cascade work
     backoff,       ///< waiting in the exponential backoff
     bucket_split,  ///< split-ordered lazy bucket initialization
 };
@@ -106,6 +106,8 @@ std::size_t topk() noexcept;
 void set_enabled_override(int v) noexcept;
 void set_rate_override(std::int64_t r) noexcept;
 void set_slow_ns_override(std::int64_t ns) noexcept;
+/// Whether set_slow_ns_override currently pins the threshold.
+bool slow_ns_overridden() noexcept;
 
 // --------------------------------------------------- per-sample context
 
@@ -130,6 +132,7 @@ struct prof_tls {
     std::uint64_t samples = 0;    ///< samples completed on this thread
     std::int64_t shard_hint = -1; ///< set by sharded_kv, consumed at arm
     std::uint32_t ordinal = 0;    ///< stable thread id for slow-op records
+    bool seeded = false;          ///< a sched session worker (seed_thread)
     op_ctx* active = nullptr;     ///< non-null while a sampled op runs
     op_ctx ctx;
 };
@@ -443,7 +446,10 @@ inline void finish(prof_tls& t) noexcept {
     }
     sketch().touch(c.key, cas_fails, c.shard);
 
-    if (c.total_ns >= slow_threshold_ns()) {
+    // A seeded thread decides without the clock, so its schedule (the
+    // ring's slow_capture step) stays a function of its seed: it
+    // captures only under a threshold a test pinned.
+    if ((!t.seeded || slow_ns_overridden()) && c.total_ns >= slow_threshold_ns()) {
         slow_counter().add(1);
         slow_op_record r;
         r.ts_ns = now;
@@ -623,6 +629,15 @@ inline void reseed(std::uint64_t seed) noexcept {
     detail::prof_tls& t = detail::tls();
     t.rng = seed != 0 ? seed : 0x9E3779B97F4A7C15ULL;
     t.countdown = detail::next_gap(t.rng, sample_rate());
+}
+
+/// Makes this thread's profiler steps a function of `seed` alone:
+/// reseeds the gap RNG and stops slow capture from reading the clock
+/// unless set_slow_ns_override pins the threshold. sched::run calls it
+/// on every session worker.
+inline void seed_thread(std::uint64_t seed) noexcept {
+    reseed(seed);
+    detail::tls().seeded = true;
 }
 
 /// Samples completed on this thread since it first touched the profiler.

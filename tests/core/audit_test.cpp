@@ -47,11 +47,6 @@ TEST(Audit, DetectsInflatedRefcount) {
 TEST(Audit, DetectsMissingReference) {
     list_t list(32);
     fill(list, 3);
-    // Quiesce first: a parked SafeRead-cache reference on the cell would
-    // otherwise mask the sabotage — the audit's entry flush would drop
-    // the count to zero and reclaim the cell mid-walk instead of letting
-    // the walk report the mismatch.
-    list.pool().flush_deferred_releases();
     node_t* cell = list.head()->next.load()->next.load();
     cell->refct.fetch_sub(refct_one);  // count lost
     auto r = audit_list(list);

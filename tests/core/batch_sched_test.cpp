@@ -99,7 +99,6 @@ void run_drain_vs_erase(std::uint64_t seed) {
     EXPECT_GT(sched::scheduler::instance().kind_count(sched::step_kind::batch_drain),
               0u)
         << "schedule never entered a cursor-resume window, seed " << seed;
-    map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
     const audit_report r = audit_list(map.list());
     EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
@@ -154,7 +153,6 @@ void run_drain_vs_drain(std::uint64_t seed) {
     });
     EXPECT_EQ(balance, odd_live) << "seed " << seed;
     EXPECT_EQ(map.size_slow(), static_cast<std::size_t>(4 + odd_live));
-    map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
     const audit_report r = audit_list(map.list());
     EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
@@ -195,7 +193,6 @@ void run_drain_vs_resize(std::uint64_t seed) {
         << "schedule never entered a batch window, seed " << seed;
     for (int k = 100; k < 110; ++k) map.erase(k);
     EXPECT_EQ(map.size_slow(), 4u);
-    map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
     std::map<const typename map_t::node*, std::size_t> external;
     map.for_each_bucket_slot(
@@ -257,7 +254,6 @@ void run_same_key_reanchor_both(std::initializer_list<std::uint64_t> sorted_seed
         sorted_list_map<int, int, std::less<int>, Policy> map(64);
         EXPECT_TRUE(run_same_key_reanchor(map, seed))
             << "sorted_list_map: schedule missed the re-anchor window, seed " << seed;
-        map.list().pool().flush_deferred_releases();
         map.list().pool().drain_retired();
         const audit_report r = audit_list(map.list());
         EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed;
@@ -266,7 +262,6 @@ void run_same_key_reanchor_both(std::initializer_list<std::uint64_t> sorted_seed
         split_ordered_map<int, int, std::hash<int>, std::less<int>, Policy> map(4, 64);
         EXPECT_TRUE(run_same_key_reanchor(map, seed))
             << "split_ordered_map: schedule missed the re-anchor window, seed " << seed;
-        map.list().pool().flush_deferred_releases();
         map.list().pool().drain_retired();
         std::map<const typename decltype(map)::node*, std::size_t> external;
         map.for_each_bucket_slot(
@@ -337,6 +332,32 @@ TEST(BatchSched, PinnedSeed_SameKeyReanchor_Hazard) {
 }
 TEST(BatchSched, PinnedSeed_SameKeyReanchor_Epoch) {
     run_same_key_reanchor_both<epoch_policy>({1035, 1245, 1335}, {254, 303, 1245});
+}
+
+// A schedule is a function of its seed alone: the same pinned session,
+// run twice in one process with the profiler on, records the same step
+// trace. Each run starts fresh worker threads, and what the profiler
+// does on them (where it samples, whether it captures a slow op) must
+// not depend on the threads that ran before them or on the clock. A
+// mean sample gap of 8 puts `sample` steps in every session.
+TEST(BatchSched, SameSeedSameTraceInProcess_ProfilerOn) {
+    telemetry::prof::set_enabled_override(1);
+    telemetry::prof::set_rate_override(8);
+    for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+        run_drain_vs_erase<valois_refcount>(seed);
+        const std::vector<sched::trace_event> first = sched::scheduler::instance().trace();
+        EXPECT_GT(sched::scheduler::instance().kind_count(sched::step_kind::sample), 0u)
+            << "seed " << seed;
+        run_drain_vs_erase<valois_refcount>(seed);
+        const std::vector<sched::trace_event> second = sched::scheduler::instance().trace();
+        std::size_t at = 0;
+        while (at < first.size() && at < second.size() && first[at] == second[at]) ++at;
+        EXPECT_TRUE(at == first.size() && at == second.size())
+            << "seed " << seed << ": traces of " << first.size() << " and " << second.size()
+            << " steps diverge at step " << at;
+    }
+    telemetry::prof::set_rate_override(-1);
+    telemetry::prof::set_enabled_override(-1);
 }
 
 }  // namespace

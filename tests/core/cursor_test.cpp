@@ -172,10 +172,7 @@ TEST(Cursor, DestructionReleasesPinnedDeletedCell) {
         // list yet.
         EXPECT_LT(list.pool().free_count(), free_at_start + 2);
     }
-    // All cursors gone: after releasing this thread's parked SafeRead-
-    // cache references (cursor resets park them), the deleted cell and
-    // its aux node are reclaimed.
-    list.pool().flush_deferred_releases();
+    // All cursors gone: the deleted cell and its aux node are reclaimed.
     EXPECT_EQ(list.pool().free_count(), free_at_start + 2);
     auto r = lfll::audit_list(list);
     EXPECT_TRUE(r.ok) << r.error;

@@ -78,9 +78,7 @@ TEST(SharedPool, DestroyedListReturnsItsNodes) {
         for (int v : {1, 2, 3, 4, 5}) append(temp, v);
         EXPECT_LT(pool.free_count(), free_before);
     }
-    // temp's dummies, cells, and aux nodes all came home: exact restore
-    // (after flushing this thread's batched traversal decrements).
-    pool.flush_deferred_releases();
+    // temp's dummies, cells, and aux nodes all came home: exact restore.
     EXPECT_EQ(pool.free_count(), free_before);
     auto r = audit_shared(pool, std::vector<valois_list<int>*>{&keeper});
     EXPECT_TRUE(r.ok) << r.error;
@@ -110,10 +108,8 @@ TEST(ListPayload, DestructorsBalancedThroughChurn) {
             list.update(c);
         }
         c.reset();
-        // Deleted cells were reclaimed (no cursors pin them; parked
-        // SafeRead-cache references and batched decrements are flushed —
-        // both only ever DELAY reclamation): payloads gone.
-        list.pool().flush_deferred_releases();
+        // Deleted cells were reclaimed (no cursors pin them): payloads
+        // gone.
         EXPECT_EQ(live.load(), 10);
     }
     // The list destructor releases the whole chain through the normal

@@ -157,7 +157,6 @@ TEST(ListStructure, DeletedNodesReturnToFreeList) {
         list.update(c);
     }
     c.reset();
-    list.pool().flush_deferred_releases();  // traversal drops may be batched
     EXPECT_EQ(list.pool().free_count(), free_before);
 }
 

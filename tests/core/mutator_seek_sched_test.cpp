@@ -1,7 +1,6 @@
 // Scheduler coverage for the mutator seek (seek_while, walk's seek
 // mode, step_kind::batch_seek), the read-only lookup (lookup_from, the
-// same superhop with a reference-free landing) and the per-thread
-// SafeRead cache (step_kind::safe_read_cache), across all three
+// same superhop with a reference-free landing), across all three
 // reclamation policies. The windows under test:
 //
 //   * batch-snapshot -> referenced-cursor handoff: the seek has
@@ -13,11 +12,6 @@
 //   * borrowed start: a write's seek walks from First without a
 //     reference, so an erase can recycle the start's first cell between
 //     the read-only walk and the landing's protect.
-//   * cache-hit-on-recycled-cell: sr_take is about to revalidate a hint
-//     entry (try_ref + incarnation sandwich); a preemption lets a
-//     deleter recycle the cached cell, bumping its incarnation, and the
-//     take must back out (full unref) rather than hand a stale cell to
-//     the cursor.
 //   * landing copy -> sweep (lookups): the landing cell holds no
 //     reference, so a churner that recycles it after its copy must fail
 //     the per-cell check or the closing sweep.
@@ -27,8 +21,8 @@
 //
 // Pinned seeds replay fixed schedules through the deterministic
 // scheduler — replay any one with LFLL_SCHED_REPLAY=<seed>. Under
-// epoch_policy both mechanisms compile out (counted_traversal false);
-// the same bodies must still run clean, with zero window entries.
+// epoch_policy the superhop compiles out (counted_traversal false); the
+// same bodies must still run clean, with zero window entries.
 #define LFLL_SCHED_CHAOS 1
 
 #include <gtest/gtest.h>
@@ -60,9 +54,8 @@ sched::options pinned(std::uint64_t seed) {
 }
 
 /// Cursor-based lookup through the mutator seek. map::find() rides the
-/// read-only lookup and never lands a cursor or donates to the SafeRead
-/// cache; both chaos windows live on the find_from path, so the
-/// seeker/reader bodies must drive it directly.
+/// read-only lookup and never lands a cursor; the handoff window lives
+/// on the find_from path, so the seeker bodies must drive it directly.
 template <typename Map>
 std::optional<int> seek_find(Map& map, int key) {
     typename Map::cursor c(map.list());
@@ -70,12 +63,10 @@ std::optional<int> seek_find(Map& map, int key) {
     return (*c).second;
 }
 
-/// Drain everything the policies keep per thread or banked (parked
-/// cache references, retired nodes) so the §5 audit sees a quiescent
-/// structure.
+/// Drain the policies' banked retired nodes so the §5 audit sees a
+/// quiescent structure.
 template <typename Map>
 audit_report quiesce_and_audit(Map& map) {
-    map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
     return audit_list(map.list());
 }
@@ -124,65 +115,15 @@ void run_handoff_window(std::uint64_t seed) {
                       << " — replay with LFLL_SCHED_REPLAY=" << seed;
 }
 
-/// Recycled-cache-hit window: a reader re-finds the same hot keys (its
-/// cursor resets park the cells in the SafeRead cache, the next find
-/// takes them back) while a churner erases and reinserts exactly those
-/// keys, recycling the cached cells and bumping their incarnations.
-template <typename Policy>
-void run_recycled_cache_hit_window(std::uint64_t seed) {
-    using map_t = sorted_list_map<int, int, std::less<int>, Policy>;
-    pool_config cfg;
-    cfg.initial_capacity = 16;  // erased cells come straight back
-    cfg.saferead_cache = 1;     // force on, whatever the env says
-    cfg.saferead_cache_size = 8;
-    typename map_t::list_type::pool_type pool(cfg);
-    map_t map(pool);
-    for (int k = 0; k < 4; ++k) map.insert(k, 200 + k);
-    std::vector<std::function<void()>> bodies;
-    bodies.push_back([&map] {  // reader: hot repeat visits
-        for (int round = 0; round < 6; ++round) {
-            for (int k = 0; k < 4; ++k) {
-                auto v = seek_find(map, k);
-                if (v) {
-                    EXPECT_GE(*v, 200);
-                    EXPECT_LE(*v, 220);
-                }
-            }
-        }
-    });
-    bodies.push_back([&map] {  // churner: recycle the cached cells
-        for (int i = 0; i < 5; ++i) {
-            const int k = i % 4;
-            map.erase(k);
-            map.insert(k, 210 + k);
-        }
-    });
-    sched::run(pinned(seed), std::move(bodies));
-    if constexpr (map_t::list_type::pool_type::counts_traversal) {
-        EXPECT_GT(
-            sched::scheduler::instance().kind_count(sched::step_kind::safe_read_cache),
-            0u)
-            << "schedule never entered a cache take/donate window, seed " << seed;
-    } else {
-        EXPECT_EQ(
-            sched::scheduler::instance().kind_count(sched::step_kind::safe_read_cache),
-            0u);
-    }
-    auto r = quiesce_and_audit(map);
-    EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
-                      << " — replay with LFLL_SCHED_REPLAY=" << seed;
-}
-
 /// Landing-recycle window: the seek superhop runs the predicate on
 /// each payload copy and ends its segment at the first cell that fails
 /// it, so the copy must be re-validated (per-cell incarnation check)
 /// before that stop decision. The pinned schedules preempt the seeker
 /// between the landing cell's copy and that check while a churner
-/// erases and reinserts exactly the landing keys: with the SafeRead
-/// cache off, the erased cell is reclaimed (its
-/// incarnation bumps) and reused at once. The check must reject the
-/// copy and the seek fall back to the per-cell hop; every landing must
-/// still sit past its predecessor's key. These schedules pin the
+/// erases and reinserts exactly the landing keys: the erased cell is
+/// reclaimed (its incarnation bumps) and reused at once. The check must
+/// reject the copy and the seek fall back to the per-cell hop; every
+/// landing must still sit past its predecessor's key. These schedules pin the
 /// re-check's failure path, not its necessity: without it the commit
 /// would still catch the recycle, and a torn copy (what the re-check
 /// keeps from the predicate) cannot occur under the serializing
@@ -192,7 +133,6 @@ std::uint64_t run_landing_recycle_window(std::uint64_t seed) {
     using map_t = sorted_list_map<int, int, std::less<int>, Policy>;
     pool_config cfg;
     cfg.initial_capacity = 24;  // erased cells come straight back
-    cfg.saferead_cache = 0;     // a parked reference would pin the cell
     typename map_t::list_type::pool_type pool(cfg);
     map_t map(pool);
     for (int k = 0; k < 8; ++k) map.insert(k, 100 + k);
@@ -253,17 +193,15 @@ std::uint64_t run_landing_recycle_window(std::uint64_t seed) {
 /// a churner erases and reinserts the even keys on a tiny pool, so an
 /// erased cell is reclaimed (its incarnation bumps) and reused at once.
 /// The odd keys are never erased: every read of one must find it with
-/// its value, whatever the walk fell back to. With the SafeRead cache
-/// off nothing pins an erased cell; with it on, a parked reference can
-/// keep the aux before an erased cell at its incarnation, so only the
-/// link re-read (batch_hop's touch) can tell that the cell the walk
+/// its value, whatever the walk fell back to. When the aux before an
+/// erased cell stays at its incarnation across the cell's recycle, only
+/// the link re-read (batch_hop's touch) can tell that the cell the walk
 /// named was recycled. Returns the seeker's superhop fallbacks.
 template <typename Policy>
-std::uint64_t run_point_read_recycle_window(std::uint64_t seed, bool lookup, bool cache) {
+std::uint64_t run_point_read_recycle_window(std::uint64_t seed, bool lookup) {
     using map_t = sorted_list_map<int, int, std::less<int>, Policy>;
     pool_config cfg;
     cfg.initial_capacity = 24;  // erased cells come straight back
-    cfg.saferead_cache = cache ? 1 : 0;
     typename map_t::list_type::pool_type pool(cfg);
     map_t map(pool);
     for (int k = 0; k < 8; ++k) map.insert(k, 100 + k);
@@ -322,8 +260,8 @@ std::uint64_t run_point_read_recycle_window(std::uint64_t seed, bool lookup, boo
 /// its landing, so a concurrent erase can unlink and recycle a node the
 /// walk read between the walk and the landing. The writer erases and
 /// reinserts `own`, the churner `churned`, each key owned by one thread
-/// so every call must succeed; cache off, so an erased cell is reclaimed
-/// (its incarnation bumps) and reused at once. BorrowedStart: own = 0
+/// so every call must succeed; an erased cell is reclaimed (its
+/// incarnation bumps) and reused at once. BorrowedStart: own = 0
 /// and churned = 1, the start's first cell, so the writer lands inside
 /// its first segment with First as pre_cell. LandingUpgrade: own = 3 and
 /// churned = 2, the landing's pre_cell, which the upgrade's try_ref and
@@ -333,7 +271,6 @@ std::uint64_t run_borrowed_write_window(std::uint64_t seed, int own, int churned
     using map_t = sorted_list_map<int, int, std::less<int>, Policy>;
     pool_config cfg;
     cfg.initial_capacity = 24;  // erased cells come straight back
-    cfg.saferead_cache = 0;     // a parked reference would pin the cell
     typename map_t::list_type::pool_type pool(cfg);
     map_t map(pool);
     for (int k = 0; k < 8; ++k) {
@@ -480,11 +417,11 @@ TEST(MutatorSeekSched, PinnedSeed_LandingUpgrade_EpochCompilesOut) {
 
 // The point-read seeds were picked with a probe that counted recycles
 // inside each window. Lookup landing: the landing cell recycled between
-// its copy and the closing sweep (cache off, as for LandingRecycle).
+// its copy and the closing sweep.
 TEST(MutatorSeekSched, PinnedSeed_LookupLandingRecycle_Refcount) {
     std::uint64_t fallbacks = 0;
     for (std::uint64_t seed : {203ull, 313ull, 359ull, 525ull, 547ull}) {
-        fallbacks += run_point_read_recycle_window<valois_refcount>(seed, true, false);
+        fallbacks += run_point_read_recycle_window<valois_refcount>(seed, true);
     }
     EXPECT_GT(fallbacks, 0u) << "no pinned schedule made a lookup fall back";
 }
@@ -492,27 +429,26 @@ TEST(MutatorSeekSched, PinnedSeed_LookupLandingRecycle_Refcount) {
 TEST(MutatorSeekSched, PinnedSeed_LookupLandingRecycle_Hazard) {
     std::uint64_t fallbacks = 0;
     for (std::uint64_t seed : {61ull, 477ull, 483ull, 605ull}) {
-        fallbacks += run_point_read_recycle_window<hazard_policy>(seed, true, false);
+        fallbacks += run_point_read_recycle_window<hazard_policy>(seed, true);
     }
     EXPECT_GT(fallbacks, 0u) << "no pinned schedule made a lookup fall back";
 }
 
 TEST(MutatorSeekSched, PinnedSeed_LookupLandingRecycle_EpochCompilesOut) {
     for (std::uint64_t seed : {61ull, 203ull}) {
-        run_point_read_recycle_window<epoch_policy>(seed, true, false);
+        run_point_read_recycle_window<epoch_policy>(seed, true);
     }
 }
 
 // Link load -> incarnation load: a cell recycled between the two, for
-// both the lookup and the seek (cache off, so the schedules replay
-// exactly).
+// both the lookup and the seek.
 TEST(MutatorSeekSched, PinnedSeed_LinkLoadRecycle_Refcount) {
     std::uint64_t fallbacks = 0;
     for (std::uint64_t seed : {29ull, 81ull, 133ull, 167ull, 177ull}) {
-        fallbacks += run_point_read_recycle_window<valois_refcount>(seed, true, false);
+        fallbacks += run_point_read_recycle_window<valois_refcount>(seed, true);
     }
     for (std::uint64_t seed : {111ull, 117ull, 219ull, 247ull}) {
-        fallbacks += run_point_read_recycle_window<valois_refcount>(seed, false, false);
+        fallbacks += run_point_read_recycle_window<valois_refcount>(seed, false);
     }
     EXPECT_GT(fallbacks, 0u) << "no pinned schedule made a read fall back";
 }
@@ -520,31 +456,30 @@ TEST(MutatorSeekSched, PinnedSeed_LinkLoadRecycle_Refcount) {
 TEST(MutatorSeekSched, PinnedSeed_LinkLoadRecycle_Hazard) {
     std::uint64_t fallbacks = 0;
     for (std::uint64_t seed : {61ull, 81ull, 101ull, 111ull}) {
-        fallbacks += run_point_read_recycle_window<hazard_policy>(seed, true, false);
+        fallbacks += run_point_read_recycle_window<hazard_policy>(seed, true);
     }
     for (std::uint64_t seed : {117ull, 265ull, 279ull, 327ull}) {
-        fallbacks += run_point_read_recycle_window<hazard_policy>(seed, false, false);
+        fallbacks += run_point_read_recycle_window<hazard_policy>(seed, false);
     }
     EXPECT_GT(fallbacks, 0u) << "no pinned schedule made a read fall back";
 }
 
 TEST(MutatorSeekSched, PinnedSeed_LinkLoadRecycle_EpochCompilesOut) {
     for (std::uint64_t seed : {29ull, 111ull}) {
-        run_point_read_recycle_window<epoch_policy>(seed, true, false);
-        run_point_read_recycle_window<epoch_policy>(seed, false, false);
+        run_point_read_recycle_window<epoch_policy>(seed, true);
+        run_point_read_recycle_window<epoch_policy>(seed, false);
     }
 }
 
-// The same window with the SafeRead cache on (the default): a parked
-// reference can keep the aux before the recycled cell at its
-// incarnation, so the closing sweep passes and only the link re-read
-// rejects the walk. Without the re-read, a sweep of these seeds reports
-// a never-erased key absent in about one run in three. Schedules with
-// the cache on do not replay bit-for-bit (they vary with timing), so
-// this is a sweep, not a pin.
-TEST(MutatorSeekSched, LinkLoadRecycleSweep_CacheOn_Refcount) {
+// The same window swept, not pinned, under all three policies: a seed
+// in which the aux before a recycled cell stays at its incarnation
+// passes the closing sweep, and only the link re-read rejects the walk.
+// No seed here is known to reach that case (another thread must hold
+// the aux across the recycle); the sweep keeps the window covered.
+template <typename Policy>
+void sweep_link_load_recycle() {
     for (std::uint64_t seed = 1; seed <= 400; ++seed) {
-        run_point_read_recycle_window<valois_refcount>(seed, true, true);
+        run_point_read_recycle_window<Policy>(seed, true);
         if (::testing::Test::HasFailure()) {
             ADD_FAILURE() << "first failing seed " << seed;
             return;
@@ -552,22 +487,10 @@ TEST(MutatorSeekSched, LinkLoadRecycleSweep_CacheOn_Refcount) {
     }
 }
 
-TEST(MutatorSeekSched, PinnedSeed_RecycledCacheHit_Refcount) {
-    for (std::uint64_t seed : {2ull, 7ull, 13ull, 23ull, 37ull, 61ull}) {
-        run_recycled_cache_hit_window<valois_refcount>(seed);
-    }
-}
-
-TEST(MutatorSeekSched, PinnedSeed_RecycledCacheHit_Hazard) {
-    for (std::uint64_t seed : {6ull, 11ull, 19ull, 31ull}) {
-        run_recycled_cache_hit_window<hazard_policy>(seed);
-    }
-}
-
-TEST(MutatorSeekSched, PinnedSeed_RecycledCacheHit_EpochCompilesOut) {
-    for (std::uint64_t seed : {10ull, 15ull}) {
-        run_recycled_cache_hit_window<epoch_policy>(seed);
-    }
+TEST(MutatorSeekSched, LinkLoadRecycleSweep_AllPolicies) {
+    sweep_link_load_recycle<valois_refcount>();
+    sweep_link_load_recycle<hazard_policy>();
+    sweep_link_load_recycle<epoch_policy>();
 }
 
 }  // namespace

@@ -72,7 +72,6 @@ void check_snapshot(const Pairs& snap, int stable_lo, int stable_hi) {
 
 template <typename Map>
 audit_report quiesce_and_audit(Map& map) {
-    map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
     return audit_list(map.list());
 }
@@ -158,7 +157,6 @@ void run_resize_during_range_window(std::uint64_t seed) {
     auto snap = map.snapshot();
     EXPECT_EQ(snap.size(), 8u);
     check_snapshot(snap, 0, 8);
-    map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
     std::map<const typename map_t::node*, std::size_t> external;
     map.for_each_bucket_slot(
@@ -199,7 +197,6 @@ void run_shrink_window(std::uint64_t seed) {
     EXPECT_LT(map.bucket_count(), grown);
     EXPECT_GE(map.bucket_count(), map.initial_bucket_count());
     EXPECT_EQ(map.size_slow(), 0u);
-    map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
     std::map<const typename map_t::node*, std::size_t> external;
     map.for_each_bucket_slot(

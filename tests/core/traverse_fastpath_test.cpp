@@ -1,8 +1,7 @@
 // Scheduler coverage for the traversal fast-path engine: the elided-aux
-// hop window (hop_over_aux / batch_commit, step_kind::ref_transfer) and
-// the flush boundary that releases parked SafeRead-cache references
-// (step_kind::flush). Pinned seeds replay fixed schedules through the
-// deterministic scheduler — exact regression pins, replay any one with
+// hop window (hop_over_aux / batch_commit, step_kind::ref_transfer).
+// Pinned seeds replay fixed schedules through the deterministic
+// scheduler — exact regression pins, replay any one with
 // LFLL_SCHED_REPLAY=<seed> — plus direct (unscheduled) checks of where
 // superhop segments end and of how many RMWs a lookup costs.
 #define LFLL_SCHED_CHAOS 1
@@ -26,7 +25,6 @@ namespace {
 
 using list_t = lfll::valois_list<char>;
 using cursor_t = list_t::cursor;
-using pool_t = list_t::pool_type;
 
 void append(list_t& list, char v) {
     cursor_t c(list);
@@ -91,51 +89,6 @@ TEST(TraverseFastPath, PinnedSeed_ElidedHopValidationWindow) {
                   0u)
             << "schedule never entered the elided-hop window, seed " << seed;
         list.pool().drain_retired();
-        auto r = lfll::audit_list(list);
-        EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
-                          << " — replay with LFLL_SCHED_REPLAY=" << seed;
-    }
-}
-
-/// The flush boundary: traversers park their op-boundary references in
-/// a 2-entry SafeRead cache (so donations evict constantly) and release
-/// them mid-schedule through flush_deferred_releases(), while a deleter
-/// makes the parked nodes unreachable. The schedules preempt inside the
-/// cache's take/donate/evict windows and at the flush itself; the §5
-/// audit afterwards proves no reference was lost or doubled across them.
-TEST(TraverseFastPath, PinnedSeed_DeferredReleaseFlushWindow) {
-    for (std::uint64_t seed : {2ull, 7ull, 13ull, 23ull, 37ull, 61ull}) {
-        lfll::pool_config cfg;
-        cfg.initial_capacity = 16;
-        cfg.saferead_cache = 1;       // force on, whatever the env says
-        cfg.saferead_cache_size = 2;  // one set: donations evict
-        pool_t pool(cfg);
-        list_t list(pool);
-        for (char v : {'A', 'B', 'C', 'D', 'E'}) append(list, v);
-        std::vector<std::function<void()>> bodies;
-        for (int t = 0; t < 2; ++t) {
-            bodies.push_back([&list, &pool] {  // traversers: park and flush
-                for (int round = 0; round < 3; ++round) {
-                    for (cursor_t c(list); !c.at_end(); list.next(c)) {
-                    }
-                    pool.flush_deferred_releases();
-                }
-            });
-        }
-        bodies.push_back([&list] {  // deleter: parked nodes go unreachable
-            for (int i = 0; i < 3; ++i) {
-                cursor_t c(list);
-                if (!c.at_end()) (void)list.try_delete(c);
-                c.reset();
-            }
-        });
-        lfll::sched::run(pinned(seed), std::move(bodies));
-        auto& s = lfll::sched::scheduler::instance();
-        EXPECT_GT(s.kind_count(lfll::sched::step_kind::safe_read_cache), 0u)
-            << "seed " << seed;
-        EXPECT_GT(s.kind_count(lfll::sched::step_kind::flush), 0u)
-            << "seed " << seed;
-        pool.drain_retired();
         auto r = lfll::audit_list(list);
         EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
                           << " — replay with LFLL_SCHED_REPLAY=" << seed;
@@ -256,7 +209,6 @@ TEST(TraverseFastPath, LookupLandingTakesNoReference) {
         using map_t = lfll::sorted_list_map<int, int>;
         map_t map(256);
         for (int k = 0; k < 200; ++k) map.insert(k, 1000 + k);
-        map.list().pool().flush_deferred_releases();
         for (int k : {0, 1, 7, 13}) {
             const auto* head = map.list().head();
             const auto* cell = find_node(map.list(), [k](const auto& kv) { return kv.first == k; });
@@ -289,7 +241,6 @@ TEST(TraverseFastPath, LookupLandingTakesNoReference) {
         // Touch every bucket first: a bucket's first access splits it
         // (a cursor seek from its parent's dummy), which is not a lookup.
         for (std::uint64_t k = 0; k < 2048; ++k) (void)map.find(k);
-        map.pool().flush_deferred_releases();
         std::vector<const map_t::node*> dummies;
         map.for_each_bucket_slot([&](std::size_t, const map_t::node* d) { dummies.push_back(d); });
         std::vector<std::uint64_t> dummy_rc;
@@ -318,19 +269,17 @@ TEST(TraverseFastPath, LookupLandingTakesNoReference) {
 /// the landing, where the Figs. 9-10 CASes go through them: a write that
 /// lands inside its first superhop segment leaves its start's count
 /// untouched. (An erase of the start's first cell does link the start,
-/// from the deleted cell's back_link, for as long as that cell lives —
-/// a cursor reference parked in the SafeRead cache can extend that, so
-/// erases are checked after a flush.) A seek-only write (insert of a
-/// present key, erase of an absent one) shows the seek's own protects:
-/// one for the landing, plus one per full segment crossed on the way.
+/// from the deleted cell's back_link, for as long as that cell lives;
+/// the erase's own cursor releases that cell before it returns.) A
+/// seek-only write (insert of a present key, erase of an absent one)
+/// shows the seek's own protects: one for the landing, plus one per
+/// full segment crossed on the way.
 TEST(TraverseFastPath, MutatorSeekBorrowsItsStart) {
     auto& ctr = lfll::instrument::tls();
     {
         using map_t = lfll::sorted_list_map<int, int>;
         map_t map(256);
         for (int k = 0; k < 200; ++k) map.insert(k, 1000 + k);
-        auto& pool = map.list().pool();
-        pool.flush_deferred_releases();
         const auto* head = map.list().head();
         const auto head_rc = head->refct.load();
         for (int k : {0, 1, 7, 13}) {
@@ -339,7 +288,6 @@ TEST(TraverseFastPath, MutatorSeekBorrowsItsStart) {
             EXPECT_LE(ctr.safe_reads.load() - reads0, 1u) << "insert(" << k << ") seek";
             EXPECT_EQ(head->refct.load(), head_rc) << "insert(" << k << ") touched First";
             EXPECT_TRUE(map.erase(k));
-            pool.flush_deferred_releases();
             EXPECT_EQ(head->refct.load(), head_rc) << "erase(" << k << ") touched First";
             reads0 = ctr.safe_reads.load();
             EXPECT_FALSE(map.erase(k));
@@ -371,7 +319,6 @@ TEST(TraverseFastPath, MutatorSeekBorrowsItsStart) {
         // Split every bucket first: a bucket's first access inserts its
         // dummy, which is a write of its own.
         for (std::uint64_t k = 0; k < 2048; ++k) (void)map.find(k);
-        map.pool().flush_deferred_releases();
         // Every bucket is split, so the dummy right before k's cell is
         // its bucket's: the start its writes borrow.
         const auto start_of = [&map](std::uint64_t k) {
@@ -387,14 +334,12 @@ TEST(TraverseFastPath, MutatorSeekBorrowsItsStart) {
         for (std::uint64_t k : {0ull, 5ull, 77ull, 127ull}) {
             const auto* start = start_of(k);
             ASSERT_NE(start, nullptr);
-            map.pool().flush_deferred_releases();
             const auto start_rc = start->refct.load();
             auto reads0 = ctr.safe_reads.load();
             EXPECT_FALSE(map.insert(k, 0));
             EXPECT_LE(ctr.safe_reads.load() - reads0, 1u) << "insert(" << k << ") seek";
             EXPECT_EQ(start->refct.load(), start_rc) << "insert(" << k << ") touched its dummy";
             EXPECT_TRUE(map.erase(k));
-            map.pool().flush_deferred_releases();
             EXPECT_EQ(start->refct.load(), start_rc) << "erase(" << k << ") touched its dummy";
             reads0 = ctr.safe_reads.load();
             EXPECT_FALSE(map.erase(k));

@@ -160,8 +160,6 @@ TEST(Bst, SpliceReclaimsNodes) {
     for (int k : {3, 8, 5}) ASSERT_TRUE(s.erase_splice(k));
     // Every cell + its two aux nodes must come back (shunt chains may pin
     // a bounded residue of aux nodes; with sequential deletes: none).
-    // Traversal decrements may still be batched; flush them first.
-    s.pool().flush_deferred_releases();
     EXPECT_EQ(s.pool().free_count(), free0);
 }
 

@@ -48,7 +48,6 @@ TYPED_TEST_SUITE(MultiOpTest, Policies);
 /// counted reference on their dummy, fed to the audit as external.
 template <typename Map>
 void quiesce_and_expect_clean_audit(Map& map) {
-    map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
     std::map<const typename Map::node*, std::size_t> external;
     if constexpr (requires { map.bucket_count(); }) {

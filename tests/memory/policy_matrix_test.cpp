@@ -211,10 +211,9 @@ TYPED_TEST(PolicyMatrix, DeletedNodeNotRecycledWhileCursorHeld) {
     if (TypeParam::counted_traversal) {
         // The cursor's counted reference blocks the VICTIM's retirement
         // outright. The aux node compacted away by the deletion carries
-        // no cursor pin (pre_aux is an unreferenced hint), so once the
-        // traversal decrements flush it may legitimately sit on the
-        // retire list under hazard — but never more than that one aux.
-        list.pool().flush_deferred_releases();
+        // no cursor pin (pre_aux is an unreferenced hint), so it may
+        // legitimately sit on the retire list under hazard — but never
+        // more than that one aux.
         EXPECT_LE(list.pool().retired_count(), 1u);
     } else {
         // Epoch: the node retires immediately but is banked, and the

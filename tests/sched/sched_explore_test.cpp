@@ -573,19 +573,15 @@ TEST(SchedExplore, PinnedSeed_ShardPoolDrainEpoch) {
     }
 }
 
-// ------------------- magazine x deferred-decrement interleavings
+// ------------------- magazine x reclamation interleavings
 
-/// Magazine exchanges racing deferred decrements: a deliberately cramped
-/// pool (2-round magazines, a 2-entry SafeRead cache) so alloc/free
-/// crosses the magazine<->depot boundary every few ops while cursor
-/// teardowns park references in the cache and evictions cascade real
-/// unref()s mid-schedule. Each body also flushes its own parked
-/// references inside the session (flush_deferred_releases), interleaving
-/// flush cascades with the other threads' parking. Under epochs the cache
-/// compiles out, so only the magazine window is asserted there. The
-/// quiescent §5 audit would catch a decrement lost (or replayed) across
-/// a flush or an eviction, or a node teleported through a stale
-/// magazine.
+/// Magazine exchanges racing reclamation: a deliberately cramped pool
+/// (2-round magazines) so alloc/free crosses the magazine<->depot
+/// boundary every few ops while deletions and cursor teardowns cascade
+/// real unref()s (or bank retires, under the deferred policies)
+/// mid-schedule. The quiescent §5 audit would catch a decrement lost
+/// (or replayed) across an exchange, or a node teleported through a
+/// stale magazine.
 template <typename Policy>
 struct magdr_shim {
     using list_t = valois_list<int, Policy>;
@@ -594,9 +590,7 @@ struct magdr_shim {
         pool_config c;
         c.initial_capacity = 24;
         c.magazines = 1;
-        c.mag_rounds = 2;          // exchange with the depot every 2 nodes
-        c.saferead_cache = 1;      // park op-boundary references (counting)
-        c.saferead_cache_size = 2; // one set: donations evict
+        c.mag_rounds = 2;  // exchange with the depot every 2 nodes
         return c;
     }
     pool_t pool{cramped()};
@@ -628,9 +622,6 @@ void check_mag_deferred_window(std::uint64_t seed) {
                     list.insert(c, 100 * (t + 1) + op);
                 }
                 c.reset();
-                // Mid-schedule flush, racing the other threads' parked
-                // references and magazine exchanges.
-                if (op == kOps / 2) shim.pool.flush_deferred_releases();
             }
         });
     }
@@ -638,13 +629,6 @@ void check_mag_deferred_window(std::uint64_t seed) {
     auto& s = sched::scheduler::instance();
     EXPECT_GT(s.kind_count(sched::step_kind::magazine), 0u)
         << "no magazine/depot exchange reached; " << lin::replay_hint(seed);
-    if constexpr (magdr_shim<Policy>::pool_t::counts_traversal) {
-        EXPECT_GT(s.kind_count(sched::step_kind::safe_read_cache), 0u)
-            << "no reference was ever parked or taken; " << lin::replay_hint(seed);
-        EXPECT_GT(s.kind_count(sched::step_kind::flush), 0u)
-            << "no parked-reference flush reached; " << lin::replay_hint(seed);
-    }
-    shim.pool.flush_all_deferred_releases();
     shim.pool.drain_retired();
     shim.pool.flush_magazines();
     const audit_report rep = audit_list(list);
