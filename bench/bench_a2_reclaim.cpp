@@ -17,7 +17,6 @@
 
 #include "bench_common.hpp"
 #include "lfll/baseline/harris_michael_list.hpp"
-#include "lfll/memory/node_pool.hpp"
 #include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/reclaim/epoch.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
@@ -31,25 +30,17 @@ using namespace lfll;
 
 void run_mix(const op_mix& mix, std::uint64_t keys, int millis) {
     table t({"scheme", "threads", "ops/s", "retries/op", "cas_fail/op"});
-    // Each valois policy runs with the magazine fast path on and off
-    // (process override applies to the pools the factories construct);
-    // the hm baselines have no node pool, so no magazine dimension.
-    for (bool magazines : {true, false}) {
-        set_magazine_override(magazines ? 1 : 0);
-        const std::string suffix = magazines ? "/mag" : "/list";
-        sweep_threads(t, "valois-refcount" + suffix, mix, keys, millis, [&] {
-            return std::make_unique<sorted_list_map<int, int>>(2 * keys);
-        });
-        sweep_threads(t, "valois-hazard" + suffix, mix, keys, millis, [&] {
-            return std::make_unique<
-                sorted_list_map<int, int, std::less<int>, hazard_policy>>(2 * keys);
-        });
-        sweep_threads(t, "valois-epoch" + suffix, mix, keys, millis, [&] {
-            return std::make_unique<
-                sorted_list_map<int, int, std::less<int>, epoch_policy>>(2 * keys);
-        });
-    }
-    set_magazine_override(-1);
+    sweep_threads(t, "valois-refcount", mix, keys, millis, [&] {
+        return std::make_unique<sorted_list_map<int, int>>(2 * keys);
+    });
+    sweep_threads(t, "valois-hazard", mix, keys, millis, [&] {
+        return std::make_unique<
+            sorted_list_map<int, int, std::less<int>, hazard_policy>>(2 * keys);
+    });
+    sweep_threads(t, "valois-epoch", mix, keys, millis, [&] {
+        return std::make_unique<
+            sorted_list_map<int, int, std::less<int>, epoch_policy>>(2 * keys);
+    });
     sweep_threads(t, "hm-hazard", mix, keys, millis, [&] {
         return std::make_unique<harris_michael_list<int, int, hazard_domain>>();
     });

@@ -25,27 +25,21 @@ inline void benchmark_guard(void* p) { asm volatile("" : : "g"(p) : "memory"); }
 void fixed_size(int millis) {
     table t({"allocator", "threads", "cycles/s"});
     using node_t = list_node<int>;
-    // A/B the magazine fast path against the raw Fig. 17/18 free list:
-    // same pool type, per-pool toggle.
-    for (bool magazines : {true, false}) {
-        for (int threads : thread_counts()) {
-            pool_config cfg;
-            cfg.initial_capacity = 4096;
-            cfg.magazines = magazines ? 1 : 0;
-            node_pool<node_t> pool(cfg);
-            auto res = run_timed(threads, millis, [&](int, std::atomic<bool>& stop) {
-                std::uint64_t ops = 0;
-                while (!stop.load(std::memory_order_relaxed)) {
-                    node_t* n = pool.alloc();
-                    benchmark_guard(n);
-                    pool.release(n);
-                    ++ops;
-                }
-                return ops;
-            });
-            t.add_row({magazines ? "node_pool/mag" : "node_pool/list",
-                       std::to_string(threads), fmt_si(res.ops_per_sec)});
-        }
+    // The pool as every structure uses it: magazines in front of the
+    // Fig. 17/18 free list.
+    for (int threads : thread_counts()) {
+        node_pool<node_t> pool(4096);
+        auto res = run_timed(threads, millis, [&](int, std::atomic<bool>& stop) {
+            std::uint64_t ops = 0;
+            while (!stop.load(std::memory_order_relaxed)) {
+                node_t* n = pool.alloc();
+                benchmark_guard(n);
+                pool.release(n);
+                ++ops;
+            }
+            return ops;
+        });
+        t.add_row({"node_pool/mag", std::to_string(threads), fmt_si(res.ops_per_sec)});
     }
     for (int threads : thread_counts()) {
         buddy_allocator buddy(1 << 22, 64);

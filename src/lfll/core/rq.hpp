@@ -42,7 +42,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 
 #include "lfll/primitives/cacheline.hpp"
 #include "lfll/primitives/test_hooks.hpp"
@@ -65,34 +64,20 @@ inline std::uint64_t stamp_born(std::atomic<std::uint64_t>& born, std::uint64_t 
     return seen;
 }
 
-/// LFLL_RQ_SLOTS clamps the number of concurrent-range-query slots
-/// (1..64). Queries beyond the clamp spin-wait for a slot; hand-off cost
-/// for mutators scales with the clamp, so small values make erase
-/// cheaper under heavy snapshot traffic.
-inline int slots_from_env(int fallback) noexcept {
-    static const int cached = [] {
-        const char* e = std::getenv("LFLL_RQ_SLOTS");
-        if (e == nullptr || *e == '\0') return 0;
-        long v = std::strtol(e, nullptr, 10);
-        if (v < 1) v = 1;
-        if (v > 64) v = 64;
-        return static_cast<int>(v);
-    }();
-    return cached == 0 ? fallback : cached;
-}
-
 /// One container's range-query state. `Victim` is the per-structure
 /// hand-off record; it must expose `born` and `dead` members (the closed
 /// interval) plus whatever identity/payload the merge step needs.
 template <typename Victim>
 class registry {
 public:
+    /// Concurrent-range-query slots. Queries beyond them spin-wait for a
+    /// slot; a mutator's hand-off scans every slot.
     static constexpr int kMaxSlots = 64;
     /// Slot states: 0 = free, kPreparing = claimed but timestamp not yet
     /// drawn (mutators must push conservatively), else (t << 1) | 1.
     static constexpr std::uint64_t kPreparing = 1;
 
-    registry() noexcept : nslots_(slots_from_env(kMaxSlots)) {}
+    registry() noexcept = default;
     registry(const registry&) = delete;
     registry& operator=(const registry&) = delete;
     ~registry() {
@@ -125,11 +110,11 @@ public:
     };
 
     /// Claim a slot and draw the query timestamp (the linearization
-    /// point). Spins when more than `nslots_` queries are in flight.
+    /// point). Spins when more than `kMaxSlots` queries are in flight.
     ticket begin() noexcept {
         active_.fetch_add(1, std::memory_order_seq_cst);
         for (;;) {
-            for (int i = 0; i < nslots_; ++i) {
+            for (int i = 0; i < kMaxSlots; ++i) {
                 std::uint64_t expected = 0;
                 if (slots_[i].state.compare_exchange_strong(
                         expected, kPreparing, std::memory_order_seq_cst,
@@ -184,7 +169,7 @@ public:
     void hand_off(const Victim& v) {
         if (active_.load(std::memory_order_seq_cst) == 0) return;
         testing_hooks::chaos_point(sched::step_kind::version_publish);
-        for (int i = 0; i < nslots_; ++i) {
+        for (int i = 0; i < kMaxSlots; ++i) {
             const std::uint64_t s = slots_[i].state.load(std::memory_order_seq_cst);
             if (s == 0) continue;
             if (s != kPreparing) {
@@ -194,8 +179,6 @@ public:
             push(slots_[i], v);
         }
     }
-
-    int slot_count() const noexcept { return nslots_; }
 
 private:
     struct victim_node {
@@ -226,7 +209,6 @@ private:
 
     alignas(cacheline_size) std::atomic<std::uint64_t> counter_{1};
     alignas(cacheline_size) std::atomic<int> active_{0};
-    const int nslots_;
     slot slots_[kMaxSlots];
 };
 

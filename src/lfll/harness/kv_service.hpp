@@ -61,7 +61,7 @@ struct kv_service_config {
     /// call) when the store's shard maps lack apply_batch.
     std::size_t pipeline_window = 0;
     /// Executor knobs for pipelined mode (batch_max / batch_wait_us /
-    /// ring capacity; defaults follow LFLL_BATCH_MAX / LFLL_BATCH_WAIT_US).
+    /// ring capacity).
     pipeline_config pipeline{};
     /// 0 = closed-loop saturation (clients issue as fast as the store
     /// answers). >0 = open-loop: clients collectively pace to this many

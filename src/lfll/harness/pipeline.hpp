@@ -4,14 +4,14 @@
 // Client threads SUBMIT requests instead of calling the store: submit()
 // routes the request by shard ONCE, parks it in that shard's bounded
 // MPSC ring, and returns immediately. Drains happen in batches of up to
-// LFLL_BATCH_MAX requests served through the shard map's apply_batch —
-// ONE sorted cursor pass per drain. The client completes through the
+// `batch_max` requests served through the shard map's apply_batch — ONE
+// sorted cursor pass per drain. The client completes through the
 // request slot it owns (ready()/wait(), C++20 atomic wait underneath),
 // or better through complete(), which lets the client HELP.
 //
 // Who drains: the consumer role is a per-ring flag, not a thread. One
 // executor thread per shard takes it whenever its ring is non-empty
-// (waiting up to LFLL_BATCH_WAIT_US for an under-full batch to fill),
+// (waiting up to batch_wait_us for an under-full batch to fill),
 // but a client blocked in complete() also competes for the flag and
 // drains its own shard inline — flat-combining style. That inline path
 // is what keeps light-load latency honest: a client that just submitted
@@ -27,8 +27,7 @@
 //   * traversal — the drain is a key-sorted cursor-resume pass, so k
 //     requests cost one walk instead of k cold seeks (dict/batch.hpp);
 //   * per-op TLS/profiler bookkeeping — the executor thread is
-//     persistent, so its SafeRead cache and magazines stay hot across
-//     the whole batch.
+//     persistent, so its magazines stay hot across the whole batch.
 //
 // Queueing discipline: rings are MPSC (Vyukov sequence slots); the
 // consumer side is serialized by the `draining` flag (executor and
@@ -49,7 +48,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -64,42 +62,13 @@
 
 namespace lfll::harness {
 
-/// LFLL_BATCH_MAX: most requests one executor drain serves (default 32).
-inline std::size_t batch_max_default() noexcept {
-    static const std::size_t v = [] {
-        std::size_t n = 32;
-        const char* e = std::getenv("LFLL_BATCH_MAX");
-        if (e != nullptr && e[0] != '\0') {
-            const long parsed = std::strtol(e, nullptr, 10);
-            if (parsed > 0) n = static_cast<std::size_t>(parsed);
-        }
-        return n;
-    }();
-    return v;
-}
-
-/// LFLL_BATCH_WAIT_US: how long an executor lets an under-full batch
-/// coalesce before serving it anyway (default 0: drain eagerly — right
-/// for latency; raise it when throughput-per-drain matters more).
-inline std::uint32_t batch_wait_us_default() noexcept {
-    static const std::uint32_t v = [] {
-        std::uint32_t n = 0;
-        const char* e = std::getenv("LFLL_BATCH_WAIT_US");
-        if (e != nullptr && e[0] != '\0') {
-            const long parsed = std::strtol(e, nullptr, 10);
-            if (parsed >= 0) n = static_cast<std::uint32_t>(parsed);
-        }
-        return n;
-    }();
-    return v;
-}
-
 struct pipeline_config {
-    /// Batch ceiling per drain. 0 = batch_max_default() (LFLL_BATCH_MAX).
-    std::size_t batch_max = 0;
-    /// Under-full coalescing wait. UINT32_MAX = batch_wait_us_default()
-    /// (LFLL_BATCH_WAIT_US).
-    std::uint32_t batch_wait_us = ~std::uint32_t{0};
+    /// Most requests one executor drain serves (at least 1).
+    std::size_t batch_max = 32;
+    /// How long an executor lets an under-full batch coalesce before
+    /// serving it anyway. 0 drains eagerly, which is right for latency;
+    /// raise it when throughput per drain matters more.
+    std::uint32_t batch_wait_us = 0;
     /// Per-shard ring capacity (rounded up to a power of two). A full
     /// ring back-pressures submitters (they spin-retry).
     std::size_t ring_capacity = 1024;
@@ -159,10 +128,9 @@ public:
 
     explicit request_pipeline(Store& store, pipeline_config cfg = {})
         : store_(&store),
-          batch_max_(cfg.batch_max != 0 ? cfg.batch_max : batch_max_default()),
-          batch_wait_us_(cfg.batch_wait_us != ~std::uint32_t{0}
-                             ? cfg.batch_wait_us
-                             : batch_wait_us_default()) {
+          batch_max_(cfg.batch_max),
+          batch_wait_us_(cfg.batch_wait_us) {
+        assert(batch_max_ > 0);
         const std::size_t shards = store.shard_count();
         std::size_t cap = 1;
         while (cap < cfg.ring_capacity) cap <<= 1;

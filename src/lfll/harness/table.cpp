@@ -1,8 +1,10 @@
 #include "lfll/harness/table.hpp"
 
-#include <cstdlib>
+#include <climits>
 #include <iostream>
 #include <ostream>
+
+#include "lfll/primitives/env.hpp"
 
 namespace lfll::harness {
 
@@ -51,8 +53,8 @@ void table::print_csv(std::ostream& os) const {
 
 void emit(const std::string& title, const table& t) {
     std::cout << "\n== " << title << " ==\n";
-    const char* csv = std::getenv("LFLL_BENCH_CSV");
-    if (csv != nullptr && csv[0] != '\0') {
+    static const bool csv = env::flag("LFLL_BENCH_CSV").value_or(false);
+    if (csv) {
         t.print_csv(std::cout);
     } else {
         t.print(std::cout);
@@ -61,12 +63,8 @@ void emit(const std::string& title, const table& t) {
 }
 
 int bench_millis(int def_ms) {
-    const char* env = std::getenv("LFLL_BENCH_MS");
-    if (env != nullptr && env[0] != '\0') {
-        const int v = std::atoi(env);
-        if (v > 0) return v;
-    }
-    return def_ms;
+    static const auto ms = env::integer("LFLL_BENCH_MS", 1, INT_MAX);
+    return ms ? static_cast<int>(*ms) : def_ms;
 }
 
 }  // namespace lfll::harness

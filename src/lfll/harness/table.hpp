@@ -27,7 +27,7 @@ private:
 };
 
 /// Prints "== <title> ==" and the table to stdout; honours the
-/// LFLL_BENCH_CSV environment variable (non-empty -> CSV instead).
+/// LFLL_BENCH_CSV environment variable (1 -> CSV instead).
 void emit(const std::string& title, const table& t);
 
 /// Benchmark cell duration: LFLL_BENCH_MS env var, else `def_ms`.

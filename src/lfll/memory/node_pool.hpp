@@ -71,9 +71,8 @@
 // accounting detail: free_count()/for_each_free() aggregate the global
 // list AND every magazine, so quiescent audits see one coherent pool.
 //
-// Toggle: compile-time default via the LFLL_MAGAZINE CMake option,
-// process override via the LFLL_MAGAZINE env var or
-// set_magazine_override(), per-pool via pool_config::magazines.
+// The layer is always on: its ablation (EXPERIMENTS.md A3) found kv-read
+// writes and kv-churn throughput worse without it.
 //
 // --- ABA audit of the LIFO heads (PR 1 follow-up) -----------------------
 //
@@ -114,7 +113,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -134,47 +132,9 @@
 
 namespace lfll {
 
-namespace detail {
-/// Process-wide magazine override: -1 = use the build/env default,
-/// 0/1 = force off/on for pools constructed afterwards (A/B sweeps).
-inline std::atomic<int>& magazine_override_flag() noexcept {
-    static std::atomic<int> v{-1};
-    return v;
-}
-}  // namespace detail
-
-/// Forces the magazine default for subsequently constructed pools
-/// (0 = off, 1 = on, -1 = back to the build/env default). Benches use
-/// this for in-process A/B sweeps; existing pools are unaffected.
-inline void set_magazine_override(int v) noexcept {
-    detail::magazine_override_flag().store(v < 0 ? -1 : (v != 0),
-                                           std::memory_order_relaxed);
-}
-
-/// Default for pool_config::magazines: the LFLL_MAGAZINE CMake option
-/// (compile-time), overridden by the LFLL_MAGAZINE env var (0/1), and
-/// then by set_magazine_override().
-inline bool magazine_default() noexcept {
-    const int o = detail::magazine_override_flag().load(std::memory_order_relaxed);
-    if (o >= 0) return o != 0;
-    static const bool env_default = [] {
-#if defined(LFLL_MAGAZINE) && LFLL_MAGAZINE == 0
-        bool on = false;
-#else
-        bool on = true;
-#endif
-        const char* e = std::getenv("LFLL_MAGAZINE");
-        if (e != nullptr && e[0] != '\0') on = !(e[0] == '0' || e[0] == 'n' || e[0] == 'N');
-        return on;
-    }();
-    return env_default;
-}
-
 /// Construction-time knobs for node_pool.
 struct pool_config {
     std::size_t initial_capacity = 1024;
-    /// -1 = magazine_default(), 0 = off, 1 = on.
-    int magazines = -1;
     /// Node pointers per magazine; 0 = auto (scaled to initial_capacity,
     /// clamped to [8, 64] so small per-bucket pools keep small caches).
     std::size_t mag_rounds = 0;
@@ -205,8 +165,7 @@ public:
         : node_pool(pool_config{initial_capacity}) {}
 
     explicit node_pool(const pool_config& cfg)
-        : mag_on_(cfg.magazines < 0 ? magazine_default() : cfg.magazines != 0),
-          mag_rounds_(cfg.mag_rounds != 0
+        : mag_rounds_(cfg.mag_rounds != 0
                           ? cfg.mag_rounds
                           : std::clamp<std::size_t>(cfg.initial_capacity / 4, 8, 64)) {
         // Health gauges, labelled by policy and shared by every pool under
@@ -260,11 +219,9 @@ public:
         // miss, free-list pop, grow — is alloc time.
         telemetry::prof::phase_scope prof_phase(telemetry::prof::phase::alloc);
         for (;;) {
-            if (mag_on_) {
-                // Magazine hit: the cache's counted reference transfers to
-                // the caller — the fast path performs no shared-memory RMW.
-                if (Node* q = mag_alloc()) return q;
-            }
+            // Magazine hit: the cache's counted reference transfers to
+            // the caller — the fast path performs no shared-memory RMW.
+            if (Node* q = mag_alloc()) return q;
             Node* q = free_list_read(free_head_);
             if (q == nullptr) {
                 // Reclaim pressure before growing: a deferred policy may
@@ -402,9 +359,6 @@ public:
     /// immediate default policy).
     std::size_t retired_count() const noexcept { return domain_.retired_count(); }
 
-    /// Whether this pool routes alloc/free through the magazine layer.
-    bool magazines_enabled() const noexcept { return mag_on_; }
-
     /// Node pointers per magazine.
     std::size_t magazine_rounds() const noexcept { return mag_rounds_; }
 
@@ -448,8 +402,8 @@ public:
     }
 
     /// Quiescent flush of every magazine (thread caches and depot) back
-    /// to the global free list. Tests and A/B harnesses use it to compare
-    /// the raw Fig. 17/18 path; the destructor runs it implicitly.
+    /// to the global free list, so tests see every node on the Fig. 17/18
+    /// list; the destructor runs it implicitly.
     void flush_magazines() {
         std::lock_guard lk(registry_mutex());
         for (mag_cache* c = cache_records_; c != nullptr; c = c->next_record) {
@@ -947,7 +901,7 @@ private:
     void reclaim(Node* q) noexcept {
         instrument::tls().nodes_reclaimed++;
         refct_unclaim_to_one(q->refct);  // the cache's / free list's reference
-        if (mag_on_ && mag_free(q)) return;
+        if (mag_free(q)) return;
         push_chain(q, q);
         // Recycle boundary: cheap (one relaxed store) free-depth sample.
         g_free_depth_->set(
@@ -1017,12 +971,11 @@ private:
     telemetry::counter* g_mag_misses_ = nullptr;
     telemetry::counter* g_mag_flushes_ = nullptr;
     telemetry::gauge* g_mag_depot_ = nullptr;
-    const bool mag_on_;
     const std::size_t mag_rounds_;
     const std::uint64_t pool_id_ = next_policy_domain_id();
-    // Contended heads each own a cache line (free_head_ is hammered by the
-    // magazine-off path and overflows; the depot heads by magazine
-    // exchanges) so a push on one never invalidates the other.
+    // Contended heads each own a cache line (free_head_ takes magazine
+    // misses and overflows; the depot heads magazine exchanges) so a push
+    // on one never invalidates the other.
     alignas(cacheline_size) std::atomic<Node*> free_head_{nullptr};
     alignas(cacheline_size) std::atomic<std::uint64_t> depot_full_head_{pack_head(-1, 0)};
     alignas(cacheline_size) std::atomic<std::uint64_t> depot_empty_head_{pack_head(-1, 0)};

@@ -47,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "lfll/primitives/env.hpp"
 #include "lfll/sched/step.hpp"
 
 namespace lfll::sched {
@@ -112,21 +113,13 @@ inline std::atomic<std::uint32_t>& fallback_ordinal() noexcept {
     return n;
 }
 
-inline std::optional<std::uint64_t> env_u64(const char* name) noexcept {
-    const char* e = std::getenv(name);
-    if (e == nullptr || e[0] == '\0') return std::nullopt;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(e, &end, 0);
-    if (end == e) return std::nullopt;
-    return static_cast<std::uint64_t>(v);
-}
-
 }  // namespace detail
 
 /// LFLL_SCHED_REPLAY=<seed>: replay exactly one schedule. Exploration
 /// tests check this first and, when set, run only that seed.
 inline std::optional<std::uint64_t> replay_seed_from_env() noexcept {
-    return detail::env_u64("LFLL_SCHED_REPLAY");
+    static const std::optional<std::uint64_t> seed = env::integer("LFLL_SCHED_REPLAY");
+    return seed;
 }
 
 /// The process-wide chaos seed used by unattached (fallback) threads:
@@ -135,7 +128,7 @@ inline std::optional<std::uint64_t> replay_seed_from_env() noexcept {
 inline std::atomic<std::uint64_t>& chaos_seed_word() noexcept {
     static std::atomic<std::uint64_t> w{[] {
         if (auto r = replay_seed_from_env()) return *r;
-        if (auto s = detail::env_u64("LFLL_SCHED_SEED")) return *s;
+        if (auto s = env::integer("LFLL_SCHED_SEED")) return *s;
         return std::uint64_t{0x9e3779b97f4a7c15ULL};
     }()};
     return w;

@@ -3,9 +3,9 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "lfll/primitives/env.hpp"
 #include "lfll/telemetry/profiler.hpp"
 
 namespace lfll::telemetry {
@@ -216,32 +216,24 @@ void periodic_exporter::run() {
 }
 
 std::unique_ptr<periodic_exporter> exporter_from_env() {
-    const char* spec = std::getenv("LFLL_TELEMETRY");
-    if (spec == nullptr || *spec == '\0') return nullptr;
+    const char* spec = env::raw("LFLL_TELEMETRY");
+    if (spec == nullptr) return nullptr;
 
-    export_format fmt;
-    const char* path;
+    export_format fmt = export_format::jsonl;
+    const char* path = nullptr;
     if (std::strncmp(spec, "prom:", 5) == 0) {
         fmt = export_format::prometheus;
         path = spec + 5;
     } else if (std::strncmp(spec, "jsonl:", 6) == 0) {
-        fmt = export_format::jsonl;
         path = spec + 6;
-    } else {
-        std::fprintf(stderr,
-                     "lfll: ignoring LFLL_TELEMETRY=%s "
-                     "(expected prom:<path> or jsonl:<path>)\n",
-                     spec);
+    }
+    if (path == nullptr || *path == '\0') {
+        env::reject("LFLL_TELEMETRY", spec, "prom:<path> or jsonl:<path>");
         return nullptr;
     }
-    if (*path == '\0') return nullptr;
 
-    auto period = std::chrono::milliseconds(1000);
-    if (const char* ms = std::getenv("LFLL_TELEMETRY_MS")) {
-        const long v = std::atol(ms);
-        if (v > 0) period = std::chrono::milliseconds(v);
-    }
-    return std::make_unique<periodic_exporter>(fmt, path, period);
+    const std::uint64_t ms = env::integer("LFLL_TELEMETRY_MS", 1, INT32_MAX).value_or(1000);
+    return std::make_unique<periodic_exporter>(fmt, path, std::chrono::milliseconds(ms));
 }
 
 }  // namespace lfll::telemetry

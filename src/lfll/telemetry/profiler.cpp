@@ -8,20 +8,13 @@
 #include <array>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+
+#include "lfll/primitives/env.hpp"
 
 namespace lfll::telemetry::prof {
 
 namespace {
-
-std::int64_t env_i64(const char* name, std::int64_t dflt) {
-    const char* v = std::getenv(name);
-    if (v == nullptr || *v == '\0') return dflt;
-    char* end = nullptr;
-    const long long parsed = std::strtoll(v, &end, 10);
-    return end == v ? dflt : static_cast<std::int64_t>(parsed);
-}
 
 std::atomic<int>& enabled_override() {
     static std::atomic<int> v{-1};
@@ -41,39 +34,24 @@ std::atomic<std::int64_t>& slow_ns_override() {
 bool enabled() noexcept {
     const int ov = enabled_override().load(std::memory_order_relaxed);
     if (ov >= 0) return ov != 0;
-    static const bool env = env_i64("LFLL_PROFILE", 1) != 0;
-    return env;
+    static const bool from_env = env::flag("LFLL_PROFILE").value_or(true);
+    return from_env;
 }
 
 std::uint64_t sample_rate() noexcept {
     const std::int64_t ov = rate_override().load(std::memory_order_relaxed);
     if (ov > 0) return static_cast<std::uint64_t>(ov);
-    static const std::uint64_t env = [] {
-        const std::int64_t v = env_i64("LFLL_PROFILE_RATE", 1024);
-        return v > 0 ? static_cast<std::uint64_t>(v) : std::uint64_t{1024};
-    }();
-    return env;
+    static const std::uint64_t from_env =
+        env::integer("LFLL_PROFILE_RATE", 1, INT64_MAX).value_or(1024);
+    return from_env;
 }
 
 std::uint64_t slow_threshold_ns() noexcept {
     const std::int64_t ov = slow_ns_override().load(std::memory_order_relaxed);
     if (ov >= 0) return static_cast<std::uint64_t>(ov);
-    static const std::uint64_t env = [] {
-        const std::int64_t v = env_i64("LFLL_SLOW_OP_NS", 100000);
-        return v >= 0 ? static_cast<std::uint64_t>(v) : std::uint64_t{100000};
-    }();
-    return env;
-}
-
-std::size_t topk() noexcept {
-    static const std::size_t env = [] {
-        std::int64_t v = env_i64("LFLL_PROFILE_TOPK", 10);
-        if (v < 1) v = 1;
-        if (v > static_cast<std::int64_t>(hotkey_sketch::slot_count))
-            v = static_cast<std::int64_t>(hotkey_sketch::slot_count);
-        return static_cast<std::size_t>(v);
-    }();
-    return env;
+    static const std::uint64_t from_env =
+        env::integer("LFLL_SLOW_OP_NS", 0, INT64_MAX).value_or(100000);
+    return from_env;
 }
 
 void set_enabled_override(int v) noexcept {
@@ -175,9 +153,8 @@ void sample_health(std::int64_t out[4]) {
 
 void publish() {
     auto& reg = registry::global();
-    const std::size_t k = topk();
-    const auto top = sketch().top(k);
-    for (std::size_t r = 0; r < k; ++r) {
+    const auto top = sketch().top(topk);
+    for (std::size_t r = 0; r < topk; ++r) {
         const std::string label = "rank=\"" + std::to_string(r) + "\"";
         const bool have = r < top.size();
         reg.get_gauge("lfll_prof_hot_key", label)

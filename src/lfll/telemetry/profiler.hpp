@@ -88,9 +88,8 @@ constexpr const char* phase_name(phase p) noexcept {
 }
 
 // ------------------------------------------------------------ knobs
-// Three-tier resolution, same idiom as the node pool's magazine knobs:
-// compile-time default -> environment (read once) -> runtime override
-// (for in-process A/B and tests).
+// Default -> environment (read once, through lfll/primitives/env.hpp)
+// -> runtime override (for in-process A/B and tests).
 
 /// Master switch (LFLL_PROFILE, default on). Consulted at arm time only.
 bool enabled() noexcept;
@@ -98,9 +97,8 @@ bool enabled() noexcept;
 std::uint64_t sample_rate() noexcept;
 /// Slow-op capture threshold (LFLL_SLOW_OP_NS, default 100000).
 std::uint64_t slow_threshold_ns() noexcept;
-/// Hot-key ranks published to the registry (LFLL_PROFILE_TOPK, default
-/// 10, clamped to the sketch width).
-std::size_t topk() noexcept;
+/// Hot-key ranks published to the registry.
+inline constexpr std::size_t topk = 10;
 
 /// Runtime overrides; negative restores the env/compiled default.
 void set_enabled_override(int v) noexcept;

@@ -27,7 +27,6 @@ const char* trace_op_name(trace_op op) noexcept {
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -37,20 +36,12 @@ const char* trace_op_name(trace_op op) noexcept {
 namespace lfll::telemetry {
 namespace {
 
-std::size_t ring_capacity() {
-    static const std::size_t cap = [] {
-        if (const char* e = std::getenv("LFLL_TRACE_EVENTS")) {
-            const long v = std::atol(e);
-            if (v > 0) return static_cast<std::size_t>(v);
-        }
-        return std::size_t{16384};
-    }();
-    return cap;
-}
+/// Events each thread's ring holds before it wraps.
+constexpr std::size_t kRingCapacity = 16384;
 
 struct trace_ring {
     explicit trace_ring(int tid_)
-        : tid(tid_), events(ring_capacity()) {}
+        : tid(tid_), events(kRingCapacity) {}
 
     const int tid;
     std::vector<trace_event> events;

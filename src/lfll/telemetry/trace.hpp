@@ -17,8 +17,7 @@
 // Export while writers are still running is a best-effort racy read;
 // quiesce first for an exact trace (docs/telemetry.md).
 //
-// Ring capacity: 16384 events/thread by default; override with the
-// LFLL_TRACE_EVENTS environment variable (read once, at first use).
+// Ring capacity: 16384 events per thread.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // The magazine fast path in front of Alloc/Reclaim (Figs. 17-18), typed
 // over all three reclamation policies: churn accounting, depot cycling,
-// thread-exit flush, the on/off toggles, and the telemetry counters.
+// thread-exit flush, and the telemetry counters.
 #include <gtest/gtest.h>
 
 #include "test_scale.hpp"
@@ -56,7 +56,6 @@ void expect_fully_accounted(pool_for<Policy>& pool) {
 
 TYPED_TEST(Magazine, EnabledByDefaultAndServesDistinctNodes) {
     pool_for<TypeParam> pool(64);
-    ASSERT_TRUE(pool.magazines_enabled());
     // Warm the magazine, then check recycled handouts stay exclusive and
     // arrive with the alloc contract (one reference, null next).
     std::vector<list_node<int, TypeParam>*> held;
@@ -120,7 +119,6 @@ TYPED_TEST(Magazine, ThreadExitFlushesResidualMagazines) {
 TYPED_TEST(Magazine, DepotCyclesFullMagazines) {
     pool_config cfg;
     cfg.initial_capacity = 128;
-    cfg.magazines = 1;
     cfg.mag_rounds = 4;  // tiny magazines force depot traffic fast
     pool_for<TypeParam> pool(cfg);
     ASSERT_EQ(pool.magazine_rounds(), 4u);
@@ -140,21 +138,6 @@ TYPED_TEST(Magazine, DepotCyclesFullMagazines) {
     expect_fully_accounted(pool);
 }
 
-TYPED_TEST(Magazine, PerPoolToggleOffBypassesCaches) {
-    pool_config cfg;
-    cfg.initial_capacity = 32;
-    cfg.magazines = 0;
-    pool_for<TypeParam> pool(cfg);
-    EXPECT_FALSE(pool.magazines_enabled());
-    std::vector<list_node<int, TypeParam>*> held;
-    for (int i = 0; i < 16; ++i) held.push_back(pool.alloc());
-    for (auto* n : held) pool.unref(n);
-    pool.drain_retired();
-    EXPECT_EQ(pool.magazine_cached_count(), 0u);
-    EXPECT_EQ(pool.depot_full_magazines(), 0u);
-    expect_fully_accounted(pool);
-}
-
 TYPED_TEST(Magazine, TelemetryCountersPublishOnFlush) {
     auto& reg = telemetry::registry::global();
     const std::string label =
@@ -166,7 +149,6 @@ TYPED_TEST(Magazine, TelemetryCountersPublishOnFlush) {
     {
         pool_config cfg;
         cfg.initial_capacity = 64;
-        cfg.magazines = 1;
         cfg.mag_rounds = 4;
         pool_for<TypeParam> pool(cfg);
         for (int round = 0; round < 50; ++round) {
@@ -190,35 +172,6 @@ TYPED_TEST(Magazine, SequentialPoolsOnOneThreadDoNotAlias) {
         for (auto* n : held) pool.unref(n);
         expect_fully_accounted(pool);
     }
-}
-
-// The process-wide override beats the build default for new pools.
-TEST(MagazineToggle, ProcessOverrideControlsNewPools) {
-    set_magazine_override(0);
-    {
-        node_pool<list_node<int>> off_pool(16);
-        EXPECT_FALSE(off_pool.magazines_enabled());
-    }
-    set_magazine_override(1);
-    {
-        node_pool<list_node<int>> on_pool(16);
-        EXPECT_TRUE(on_pool.magazines_enabled());
-    }
-    set_magazine_override(-1);  // restore the build/env default
-}
-
-// Magazine-off pools must still pass the LIFO recycling contract the
-// seed tests pin on the global list.
-TEST(MagazineToggle, GlobalListStillLIFOWhenOff) {
-    pool_config cfg;
-    cfg.initial_capacity = 8;
-    cfg.magazines = 0;
-    node_pool<list_node<int>> pool(cfg);
-    auto* a = pool.alloc();
-    pool.release(a);
-    auto* b = pool.alloc();
-    EXPECT_EQ(a, b);
-    pool.release(b);
 }
 
 }  // namespace

@@ -68,14 +68,11 @@ TEST_P(PoolSweep, ChurnPreservesInvariants) {
     EXPECT_EQ(pool.free_count(), pool.capacity());
     // Growth is bounded by peak demand: threads*hold outstanding plus the
     // doubling slack (each grow doubles, so at most 4x the true need or
-    // the initial capacity, whichever is larger). With magazines on, each
-    // thread may additionally strand up to two magazines of free nodes in
-    // its cache (invisible to other threads' allocs), so peak demand
-    // includes that stash.
-    std::size_t peak = static_cast<std::size_t>(threads) * hold;
-    if (pool.magazines_enabled()) {
-        peak += static_cast<std::size_t>(threads) * 2 * pool.magazine_rounds();
-    }
+    // the initial capacity, whichever is larger). Each thread may also
+    // strand up to two magazines of free nodes in its cache (invisible to
+    // other threads' allocs), so peak demand includes that stash.
+    const std::size_t peak = static_cast<std::size_t>(threads) *
+                             (hold + 2 * pool.magazine_rounds());
     EXPECT_LE(pool.capacity(), std::max(capacity, 4 * peak) + capacity);
     // Free-list uniqueness at quiescence.
     std::set<const node_t*> seen;

@@ -14,8 +14,10 @@
 #include "test_scale.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -31,6 +33,7 @@
 #include "lfll/dict/skip_list.hpp"
 #include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/dict/split_ordered_map.hpp"
+#include "lfll/primitives/env.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
 #include "lfll/reclaim/hazard_policy.hpp"
 #include "lfll/sched/session.hpp"
@@ -54,9 +57,7 @@ std::uint64_t mix(std::uint64_t& x) {
 std::vector<std::uint64_t> sweep_seeds(int dflt) {
     if (auto r = sched::replay_seed_from_env()) return {*r};
     int n = dflt;
-    if (auto e = sched::detail::env_u64("LFLL_SCHED_SEEDS")) {
-        n = static_cast<int>(*e);
-    }
+    if (auto e = env::integer("LFLL_SCHED_SEEDS", 1, INT_MAX)) n = static_cast<int>(*e);
     std::vector<std::uint64_t> seeds;
     for (int i = 1; i <= n; ++i) seeds.push_back(static_cast<std::uint64_t>(i));
     return seeds;
@@ -589,7 +590,6 @@ struct magdr_shim {
     static pool_config cramped() {
         pool_config c;
         c.initial_capacity = 24;
-        c.magazines = 1;
         c.mag_rounds = 2;  // exchange with the depot every 2 nodes
         return c;
     }
@@ -597,8 +597,15 @@ struct magdr_shim {
     list_t list{pool};  // pool declared first: outlives the list
 };
 
+/// Steps a sweep took on the Figs. 17-18 free list. With magazines
+/// always on, the list is reached only behind a magazine miss.
+struct free_list_reach {
+    std::uint64_t reads = 0;   ///< step_kind::free_list
+    std::uint64_t allocs = 0;  ///< step_kind::alloc
+};
+
 template <typename Policy>
-void check_mag_deferred_window(std::uint64_t seed) {
+void check_mag_deferred_window(std::uint64_t seed, free_list_reach& reach) {
     magdr_shim<Policy> shim;
     auto& list = shim.list;
     {
@@ -629,29 +636,35 @@ void check_mag_deferred_window(std::uint64_t seed) {
     auto& s = sched::scheduler::instance();
     EXPECT_GT(s.kind_count(sched::step_kind::magazine), 0u)
         << "no magazine/depot exchange reached; " << lin::replay_hint(seed);
+    reach.reads += s.kind_count(sched::step_kind::free_list);
+    reach.allocs += s.kind_count(sched::step_kind::alloc);
     shim.pool.drain_retired();
     shim.pool.flush_magazines();
     const audit_report rep = audit_list(list);
     ASSERT_TRUE(rep.ok) << rep.error << "\n" << lin::replay_hint(seed);
 }
 
-TEST(SchedExplore, PinnedSeed_MagDeferredWindowValois) {
-    for (std::uint64_t seed : {2ull, 15ull, 33ull, 67ull}) {
-        ASSERT_NO_FATAL_FAILURE(check_mag_deferred_window<valois_refcount>(seed))
+/// The cramped pool must still miss its magazines often enough that
+/// some seed of the sweep pops the global free list.
+template <typename Policy>
+void sweep_mag_deferred_window(std::initializer_list<std::uint64_t> seeds) {
+    free_list_reach reach;
+    for (std::uint64_t seed : seeds) {
+        ASSERT_NO_FATAL_FAILURE(check_mag_deferred_window<Policy>(seed, reach))
             << "seed " << seed;
     }
+    EXPECT_GT(reach.reads, 0u) << "no seed reached the Fig. 17 free-list read";
+    EXPECT_GT(reach.allocs, 0u) << "no seed reached the Fig. 17 pop";
+}
+
+TEST(SchedExplore, PinnedSeed_MagDeferredWindowValois) {
+    sweep_mag_deferred_window<valois_refcount>({2, 15, 33, 67});
 }
 TEST(SchedExplore, PinnedSeed_MagDeferredWindowHazard) {
-    for (std::uint64_t seed : {8ull, 20ull, 41ull, 76ull}) {
-        ASSERT_NO_FATAL_FAILURE(check_mag_deferred_window<hazard_policy>(seed))
-            << "seed " << seed;
-    }
+    sweep_mag_deferred_window<hazard_policy>({8, 20, 41, 76});
 }
 TEST(SchedExplore, PinnedSeed_MagDeferredWindowEpoch) {
-    for (std::uint64_t seed : {10ull, 25ull, 47ull, 91ull}) {
-        ASSERT_NO_FATAL_FAILURE(check_mag_deferred_window<epoch_policy>(seed))
-            << "seed " << seed;
-    }
+    sweep_mag_deferred_window<epoch_policy>({10, 25, 47, 91});
 }
 
 // ---------------------------------------- profiler capture windows

@@ -359,7 +359,7 @@ TEST(ProfilerPublish, HotKeyGaugesAndSlowOpJsonl) {
     // The sampled key must be resident in some published rank.
     auto& reg = lfll::telemetry::registry::global();
     bool found = false;
-    for (std::size_t r = 0; r < topk(); ++r) {
+    for (std::size_t r = 0; r < topk; ++r) {
         const std::string label = "rank=\"" + std::to_string(r) + "\"";
         if (reg.get_gauge("lfll_prof_hot_key", label).value() == 777) found = true;
     }
