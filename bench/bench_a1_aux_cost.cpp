@@ -34,7 +34,7 @@ void run_keys(std::uint64_t keys, const op_mix& mix, int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session telemetry("bench_a1_aux_cost");
+    bench::telemetry_session telemetry;
     const int millis = bench_millis(150);
     run_keys(256, op_mix::read_heavy(), millis);
     run_keys(256, op_mix::mixed(), millis);

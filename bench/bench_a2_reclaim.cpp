@@ -57,7 +57,7 @@ void run_mix(const op_mix& mix, std::uint64_t keys, int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session telemetry("bench_a2_reclaim");
+    bench::telemetry_session telemetry;
     const int millis = bench_millis(150);
     run_mix(op_mix::read_heavy(), 256, millis);
     run_mix(op_mix::write_only(), 256, millis);

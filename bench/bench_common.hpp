@@ -22,25 +22,20 @@ namespace bench {
 
 /// Live-telemetry session for a bench main. Honours LFLL_TELEMETRY
 /// (prom:<path> / jsonl:<path>, see telemetry/exporter.hpp) — a no-op
-/// unless the variable is set — and, when the flight recorder is compiled
-/// in, dumps the trace window to LFLL_TRACE_OUT (default
-/// <bench>_trace.json) at scope exit.
+/// unless the variable is set — and, when LFLL_TRACE_OUT is set, writes
+/// a Chrome trace of the profiler's event ring there at scope exit.
 class telemetry_session {
 public:
-    explicit telemetry_session(std::string name)
-        : name_(std::move(name)), exporter_(lfll::telemetry::exporter_from_env()) {}
+    telemetry_session() : exporter_(lfll::telemetry::exporter_from_env()) {}
 
     ~telemetry_session() {
         if (exporter_ != nullptr) exporter_->stop();
-        if constexpr (lfll::telemetry::trace_enabled) {
-            const char* out = std::getenv("LFLL_TRACE_OUT");
-            const std::string path = out != nullptr ? out : name_ + "_trace.json";
-            lfll::telemetry::write_chrome_trace(path);
+        if (const char* out = std::getenv("LFLL_TRACE_OUT")) {
+            lfll::telemetry::write_chrome_trace(out);
         }
     }
 
 private:
-    std::string name_;
     std::unique_ptr<lfll::telemetry::periodic_exporter> exporter_;
 };
 

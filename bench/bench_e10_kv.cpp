@@ -196,7 +196,7 @@ void fixed_vs_resizable(int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session session("bench_e10_kv");
+    bench::telemetry_session session;
     const int millis = bench_millis(150);
     sweep_mixes(millis);
     growth_under_load(millis);

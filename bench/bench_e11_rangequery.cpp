@@ -269,7 +269,7 @@ void handoff_cost(int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session session("bench_e11_rangequery");
+    bench::telemetry_session session;
     const int millis = bench_millis(150);
     range_sweep(millis);
     snapshot_during_growth(millis);

@@ -252,7 +252,7 @@ void kv_direct_vs_pipelined(int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session session("bench_e12_batch");
+    bench::telemetry_session session;
     const int millis = bench_millis(150);
     sweep_sorted(millis);
     sweep_split_ordered(millis);

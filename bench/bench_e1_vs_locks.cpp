@@ -71,7 +71,7 @@ void run_contention(int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session telemetry("bench_e1_vs_locks");
+    bench::telemetry_session telemetry;
     const int millis = bench_millis(150);
     run_mix(op_mix::read_heavy(), 256, millis);
     run_mix(op_mix::mixed(), 256, millis);

@@ -152,7 +152,7 @@ void run(int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session telemetry("bench_e1b_stalls");
+    bench::telemetry_session telemetry;
     const int millis = bench_millis(200);
     run(millis);
     return 0;

@@ -31,7 +31,7 @@ void run_size(std::uint64_t keys, const op_mix& mix, int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session telemetry("bench_e2_universal");
+    bench::telemetry_session telemetry;
     const int millis = bench_millis(150);
     run_size(64, op_mix::mixed(), millis);
     run_size(512, op_mix::mixed(), millis);

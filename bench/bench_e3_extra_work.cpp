@@ -65,7 +65,7 @@ void sweep_n(int threads, const op_mix& mix, int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session telemetry("bench_e3_extra_work");
+    bench::telemetry_session telemetry;
     const int millis = bench_millis(150);
     sweep_p(128, op_mix::write_only(), millis);
     sweep_p(128, op_mix::mixed(), millis);

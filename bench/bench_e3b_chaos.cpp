@@ -48,7 +48,7 @@ void sweep_p(std::uint64_t keys, const op_mix& mix, int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session telemetry("bench_e3b_chaos");
+    bench::telemetry_session telemetry;
     const int millis = bench_millis(150);
     sweep_p(16, op_mix::write_only(), millis);  // hot: every op collides
     sweep_p(128, op_mix::mixed(), millis);

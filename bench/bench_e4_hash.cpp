@@ -133,7 +133,7 @@ void fixed_vs_resizable(std::uint64_t keys, int threads, int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session telemetry("bench_e4_hash");
+    bench::telemetry_session telemetry;
     const int millis = bench_millis(150);
     sweep_p(4096, millis);
     sweep_buckets(1024, 4, millis);

@@ -92,7 +92,7 @@ void sweep_p(std::uint64_t keys, int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session telemetry("bench_e5_skiplist");
+    bench::telemetry_session telemetry;
     const int millis = bench_millis(150);
     sweep_n(4, millis);
     sweep_p(512, millis);

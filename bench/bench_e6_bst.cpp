@@ -113,7 +113,7 @@ void ablation_delete_policy(std::uint64_t keys, int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session telemetry("bench_e6_bst");
+    bench::telemetry_session telemetry;
     const int millis = bench_millis(150);
     sweep_n_find_insert(4, millis);
     ablation_delete_policy(1024, millis);

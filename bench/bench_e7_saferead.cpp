@@ -268,7 +268,7 @@ BENCHMARK(BM_PlainAcquireLoad);
 // Hand-rolled main (vs BENCHMARK_MAIN) so the run publishes live
 // telemetry like every other experiment binary.
 int main(int argc, char** argv) {
-    bench::telemetry_session telemetry("bench_e7_saferead");
+    bench::telemetry_session telemetry;
     ::benchmark::Initialize(&argc, argv);
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
     ::benchmark::RunSpecifiedBenchmarks();

@@ -114,7 +114,7 @@ void cap_sweep(int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session telemetry("bench_e8_backoff");
+    bench::telemetry_session telemetry;
     const int millis = bench_millis(150);
     on_off(millis);
     cap_sweep(millis);

@@ -119,7 +119,7 @@ void variable_size(int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session telemetry("bench_e9_alloc");
+    bench::telemetry_session telemetry;
     const int millis = bench_millis(150);
     fixed_size(millis);
     variable_size(millis);

@@ -145,7 +145,7 @@ void run_stacks(int millis) {
 }  // namespace
 
 int main() {
-    bench::telemetry_session telemetry("bench_ext_queue");
+    bench::telemetry_session telemetry;
     const int millis = bench_millis(150);
     run(millis);
     run_stacks(millis);

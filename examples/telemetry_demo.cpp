@@ -3,7 +3,7 @@
 // Runs a short mixed insert/erase/find workload against the sorted-list
 // dictionary under all three memory policies while a periodic exporter
 // streams registry snapshots, then prints the final snapshot and (when
-// the flight recorder is compiled in) dumps a Chrome/Perfetto trace.
+// LFLL_TRACE_OUT names a file) writes a Chrome/Perfetto trace there.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -95,12 +95,9 @@ int main(int argc, char** argv) {
     std::printf("telemetry_demo: %d retired-backlog gauges (expect >= 3)\n",
                 gauges_seen);
 
-    if constexpr (lfll::telemetry::trace_enabled) {
-        const char* out = std::getenv("LFLL_TRACE_OUT");
-        const std::string path = out != nullptr ? out : "telemetry_demo_trace.json";
-        lfll::telemetry::write_chrome_trace(path);
-        std::printf("telemetry_demo: trace written to %s (%zu events)\n",
-                    path.c_str(), lfll::telemetry::trace_event_count());
+    if (const char* out = std::getenv("LFLL_TRACE_OUT")) {
+        lfll::telemetry::write_chrome_trace(out);
+        std::printf("telemetry_demo: trace written to %s\n", out);
     }
     return gauges_seen >= 3 ? 0 : 1;
 }

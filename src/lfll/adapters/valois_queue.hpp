@@ -22,6 +22,7 @@
 #include "lfll/core/node.hpp"
 #include "lfll/memory/node_pool.hpp"
 #include "lfll/primitives/backoff.hpp"
+#include "lfll/telemetry/profiler.hpp"
 
 namespace lfll {
 
@@ -55,7 +56,7 @@ public:
     valois_queue& operator=(const valois_queue&) = delete;
 
     void enqueue(T value) {
-        LFLL_TRACE_SPAN(telemetry::trace_op::enqueue, 0);
+        telemetry::prof::op_scope prof_op(telemetry::trace_op::enqueue, 0);
         node* q = pool_.alloc();
         q->construct_cell(std::move(value));
         guard g = pool_.make_guard();
@@ -104,7 +105,7 @@ public:
     }
 
     std::optional<T> dequeue() {
-        LFLL_TRACE_SPAN(telemetry::trace_op::dequeue, 0);
+        telemetry::prof::op_scope prof_op(telemetry::trace_op::dequeue, 0);
         guard g = pool_.make_guard();
         backoff bo;
         for (;;) {

@@ -17,8 +17,8 @@
 #include <functional>
 #include <optional>
 
-#include "lfll/primitives/instrument.hpp"
 #include "lfll/reclaim/hazard_pointers.hpp"
+#include "lfll/telemetry/op_counters.hpp"
 
 namespace lfll {
 

@@ -81,7 +81,7 @@
 #include "lfll/core/rq.hpp"
 #include "lfll/memory/node_pool.hpp"
 #include "lfll/memory/policy.hpp"
-#include "lfll/primitives/instrument.hpp"
+#include "lfll/telemetry/op_counters.hpp"
 
 namespace lfll {
 
@@ -765,10 +765,8 @@ private:
         // Demote to hint: the reference is not kept by the cursor.
         pool_->drop(p);
         c.target_ = n;
-        if (node* nx = n->next.load(std::memory_order_relaxed)) {
+        if (node* nx = n->next.load(std::memory_order_relaxed))
             __builtin_prefetch(static_cast<const void*>(nx), 0, 1);
-            ctr.traverse_prefetches++;
-        }
     }
 
     /// The elided-aux hop: from a node the caller keeps live (a reference,
@@ -802,10 +800,8 @@ private:
             pool_->drop(n);
             return nullptr;
         }
-        if (node* nx = n->next.load(std::memory_order_relaxed)) {
+        if (node* nx = n->next.load(std::memory_order_relaxed))
             __builtin_prefetch(static_cast<const void*>(nx), 0, 1);
-            instrument::tls().traverse_prefetches++;
-        }
         aux_hint = aux;
         return n;
     }

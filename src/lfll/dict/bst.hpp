@@ -38,7 +38,7 @@
 #include "lfll/core/rq.hpp"
 #include "lfll/memory/node_pool.hpp"
 #include "lfll/memory/policy.hpp"
-#include "lfll/primitives/instrument.hpp"
+#include "lfll/telemetry/op_counters.hpp"
 
 namespace lfll {
 
@@ -387,10 +387,8 @@ private:
             // Prefetch the grandchild link while the comparison on the
             // child retires: tree descent is a dependent-load chain.
             if (child != nullptr) {
-                if (tree_node* gc = child->next.load(std::memory_order_relaxed)) {
+                if (tree_node* gc = child->next.load(std::memory_order_relaxed))
                     __builtin_prefetch(static_cast<const void*>(gc), 0, 1);
-                    ctr.traverse_prefetches++;
-                }
             }
             pool_.drop(a);
             pool_.drop(n);

@@ -46,8 +46,8 @@
 #include "lfll/core/rq.hpp"
 #include "lfll/dict/batch.hpp"
 #include "lfll/primitives/backoff.hpp"
-#include "lfll/primitives/instrument.hpp"
 #include "lfll/primitives/test_hooks.hpp"
+#include "lfll/telemetry/op_counters.hpp"
 #include "lfll/telemetry/profiler.hpp"
 #include "lfll/telemetry/trace.hpp"
 
@@ -101,7 +101,6 @@ public:
     /// Fig. 12 (Insert): adds key -> value; returns false if the key is
     /// already present.
     bool insert(const Key& key, Value value) {
-        LFLL_TRACE_SPAN(telemetry::trace_op::insert, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::insert,
                                           telemetry::key_hash(key));
         cursor c;
@@ -113,7 +112,6 @@ public:
     /// Linearizes at the tombstone mark (dead_ts CAS), hands the victim
     /// interval to in-flight range queries, then physically unlinks.
     bool erase(const Key& key) {
-        LFLL_TRACE_SPAN(telemetry::trace_op::erase, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::erase,
                                           telemetry::key_hash(key));
         cursor c;
@@ -159,7 +157,6 @@ public:
     /// from a referenced cell that cell persistence (§2.2) keeps intact
     /// against a concurrent delete.
     std::optional<Value> find(const Key& key) {
-        LFLL_TRACE_SPAN(telemetry::trace_op::find, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
                                           telemetry::key_hash(key));
         return lookup(list_.head(), key);

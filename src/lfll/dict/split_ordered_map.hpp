@@ -222,7 +222,6 @@ public:
     void set_backoff(backoff::config cfg) noexcept { map_.set_backoff(cfg); }
 
     bool insert(const Key& key, Value value) {
-        LFLL_TRACE_SPAN(telemetry::trace_op::insert, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::insert,
                                           telemetry::key_hash(key));
         const std::uint64_t h = hash_of(key);
@@ -234,7 +233,6 @@ public:
     }
 
     bool erase(const Key& key) {
-        LFLL_TRACE_SPAN(telemetry::trace_op::erase, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::erase,
                                           telemetry::key_hash(key));
         const std::uint64_t h = hash_of(key);
@@ -295,7 +293,6 @@ public:
     /// pins it — so a lookup that lands inside its first superhop segment
     /// takes no counted reference at all (trivially-copyable entries).
     std::optional<Value> find(const Key& key) {
-        LFLL_TRACE_SPAN(telemetry::trace_op::find, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
                                           telemetry::key_hash(key));
         const std::uint64_t h = hash_of(key);

@@ -19,8 +19,8 @@
 #include <thread>
 #include <vector>
 
-#include "lfll/primitives/instrument.hpp"
 #include "lfll/telemetry/metrics.hpp"
+#include "lfll/telemetry/op_counters.hpp"
 
 namespace lfll::harness {
 

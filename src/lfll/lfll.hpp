@@ -40,7 +40,6 @@
 // Primitives.
 #include "lfll/primitives/backoff.hpp"
 #include "lfll/primitives/cas_emulation.hpp"
-#include "lfll/primitives/instrument.hpp"
 #include "lfll/primitives/mcs_lock.hpp"
 #include "lfll/primitives/rng.hpp"
 #include "lfll/primitives/spinlock.hpp"

@@ -124,11 +124,10 @@
 #include "lfll/memory/ref_count.hpp"
 #include "lfll/memory/slab_memory.hpp"
 #include "lfll/primitives/cacheline.hpp"
-#include "lfll/primitives/instrument.hpp"
 #include "lfll/primitives/test_hooks.hpp"
 #include "lfll/telemetry/metrics.hpp"
+#include "lfll/telemetry/op_counters.hpp"
 #include "lfll/telemetry/profiler.hpp"
-#include "lfll/telemetry/trace.hpp"
 
 namespace lfll {
 
@@ -385,8 +384,6 @@ public:
     /// protected by concurrent guards survive and end the loop.
     void drain_retired() {
         if constexpr (Policy::deferred) {
-            LFLL_TRACE_PHASE(telemetry::trace_phase::reclaim);
-            LFLL_TRACE_SPAN(telemetry::trace_op::drain, 0);
             telemetry::prof::phase_scope prof_phase(telemetry::prof::phase::reclaim);
             std::size_t prev = domain_.retired_count();
             while (prev > 0) {

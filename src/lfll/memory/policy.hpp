@@ -37,8 +37,8 @@
 #include <utility>
 
 #include "lfll/memory/ref_count.hpp"
-#include "lfll/primitives/instrument.hpp"
 #include "lfll/primitives/test_hooks.hpp"
+#include "lfll/telemetry/op_counters.hpp"
 #include "lfll/telemetry/profiler.hpp"
 
 namespace lfll {

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "lfll/telemetry/metrics.hpp"
-#include "lfll/telemetry/trace.hpp"
 
 namespace lfll {
 namespace {
@@ -163,8 +162,6 @@ std::size_t epoch_domain::free_bucket(std::size_t idx) {
     // Callbacks may cascade-retire; those retires bank by the *new*
     // current epoch (e or e+1 mod 3), never into the bucket being freed,
     // and a nested try_advance bounces off the advancing_ latch.
-    LFLL_TRACE_PHASE(telemetry::trace_phase::reclaim);
-    LFLL_TRACE_SPAN(telemetry::trace_op::drain, idx);
     std::size_t freed = 0;
     for (auto& ctx : ctxs_) {
         auto& bucket = ctx.buckets[idx];

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "lfll/telemetry/metrics.hpp"
-#include "lfll/telemetry/trace.hpp"
 
 namespace lfll {
 namespace {
@@ -138,8 +137,6 @@ std::size_t hazard_domain::scan(slot_group& g) {
         if (g.scanning) return 0;
         g.scanning = true;
     }
-    LFLL_TRACE_PHASE(telemetry::trace_phase::reclaim);
-    LFLL_TRACE_SPAN(telemetry::trace_op::scan, 0);
     std::size_t total_freed = 0;
     std::vector<retired_node> work;
     std::vector<retired_node> keep;

@@ -3,6 +3,8 @@
 #include <mutex>
 #include <vector>
 
+#include "lfll/telemetry/profiler.hpp"
+
 namespace lfll {
 
 op_counters& op_counters::operator+=(const op_counters& o) noexcept {
@@ -20,7 +22,6 @@ op_counters& op_counters::operator+=(const op_counters& o) noexcept {
     traverse_hops += o.traverse_hops;
     traverse_fast_hops += o.traverse_fast_hops;
     batch_fallbacks += o.batch_fallbacks;
-    traverse_prefetches += o.traverse_prefetches;
     deferred_flushes += o.deferred_flushes;
     return *this;
 }
@@ -41,8 +42,6 @@ op_counters op_counters_tls::read() const noexcept {
     v.traverse_hops = traverse_hops.load();
     v.traverse_fast_hops = traverse_fast_hops.load();
     v.batch_fallbacks = batch_fallbacks.load();
-    v.traverse_prefetches = traverse_prefetches.load();
-    v.deferred_flushes = deferred_flushes.load();
     return v;
 }
 
@@ -61,56 +60,66 @@ void op_counters_tls::clear() noexcept {
     traverse_hops.clear();
     traverse_fast_hops.clear();
     batch_fallbacks.clear();
-    traverse_prefetches.clear();
-    deferred_flushes.clear();
 }
 
-namespace instrument {
+namespace telemetry {
 namespace {
 
-struct registry {
+struct record_registry {
     std::mutex mu;
-    std::vector<const op_counters_tls*> live;
+    std::vector<op_counters_tls*> live;
     op_counters retired;  // folded-in totals of exited threads
 
-    static registry& get() {
-        static registry r;
+    static record_registry& get() {
+        static record_registry r;
         return r;
     }
 };
 
 // Registers on first use in a thread; folds into `retired` on thread exit.
-struct tls_slot {
-    op_counters_tls counters;
+struct record_slot {
+    thread_record r;
 
-    tls_slot() {
-        auto& r = registry::get();
-        std::lock_guard lk(r.mu);
-        r.live.push_back(&counters);
+    record_slot() {
+        static std::atomic<std::uint32_t> next_ordinal{0};
+        r.ordinal = next_ordinal.fetch_add(1, std::memory_order_relaxed);
+        // splitmix64 of the ordinal: distinct nonzero stream per thread.
+        std::uint64_t z = (static_cast<std::uint64_t>(r.ordinal) + 1) * 0x9E3779B97F4A7C15ULL;
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+        r.rng = z != 0 ? z : 0x9E3779B97F4A7C15ULL;
+        r.countdown = prof::detail::next_gap(r.rng, prof::sample_rate());
+        auto& reg = record_registry::get();
+        std::lock_guard lk(reg.mu);
+        reg.live.push_back(&r.counters);
     }
 
-    ~tls_slot() {
-        detail::cached = nullptr;  // late tls() calls take the slow path
-        auto& r = registry::get();
-        std::lock_guard lk(r.mu);
-        r.retired += counters.read();
-        std::erase(r.live, &counters);
+    ~record_slot() {
+        detail::cached = nullptr;  // late record() calls take the slow path
+        auto& reg = record_registry::get();
+        std::lock_guard lk(reg.mu);
+        reg.retired += r.counters.read();
+        std::erase(reg.live, &r.counters);
     }
 };
 
 }  // namespace
 
-op_counters_tls& detail::tls_slow() {
-    thread_local tls_slot slot;
+thread_record& detail::record_slow() {
+    thread_local record_slot slot;
     // Post-destruction calls (thread-exit cascades) land here again and
-    // return the dead slot's storage — same benign behavior as before the
-    // cached fast path existed (plain atomic cells; already unregistered).
-    detail::cached = &slot.counters;
-    return slot.counters;
+    // return the dead slot's storage: plain atomic cells, already
+    // unregistered, so late increments are dropped, never raced.
+    detail::cached = &slot.r;
+    return slot.r;
 }
 
+}  // namespace telemetry
+
+namespace instrument {
+
 op_counters snapshot() {
-    auto& r = registry::get();
+    auto& r = telemetry::record_registry::get();
     std::lock_guard lk(r.mu);
     op_counters total = r.retired;
     for (const op_counters_tls* c : r.live) total += c->read();
@@ -118,12 +127,10 @@ op_counters snapshot() {
 }
 
 void reset() {
-    auto& r = registry::get();
+    auto& r = telemetry::record_registry::get();
     std::lock_guard lk(r.mu);
     r.retired = {};
-    for (const op_counters_tls* c : r.live) {
-        const_cast<op_counters_tls*>(c)->clear();
-    }
+    for (op_counters_tls* c : r.live) c->clear();
 }
 
 }  // namespace instrument

@@ -1,5 +1,7 @@
-// Per-thread operation counters — the telemetry registry's hot-path
-// counter backend.
+// Per-thread telemetry record: the op counters (the telemetry registry's
+// hot-path counter backend) and the sampled profiler's per-thread state
+// share one thread_local record, one cached pointer to it, and one
+// registration and thread-exit path.
 //
 // The paper's §4.1 performance claims are stated in terms of *extra work* —
 // retried TryInsert/TryDelete calls and auxiliary-node hops — which are
@@ -14,13 +16,13 @@
 // TSan-clean): they observe each cell at some recent relaxed value. Totals
 // are only *exact* when mutators are quiescent; mid-run snapshots are
 // monotone approximations, which is what the periodic exporters want.
-//
-// (Historically lfll/primitives/instrument.hpp; absorbed into telemetry/
-// as the registry's counter backend. The old header forwards here.)
+// The profiler fields are thread-private: only the owner touches them.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+
+#include "lfll/telemetry/trace.hpp"
 
 namespace lfll {
 
@@ -64,14 +66,13 @@ struct op_counters {
     std::uint64_t traverse_hops = 0;       ///< cells (or Last) a hop read, every superhop copy included
     std::uint64_t traverse_fast_hops = 0;  ///< hops that took the elided-aux fast path
     std::uint64_t batch_fallbacks = 0;     ///< superhops abandoned for the per-cell hop
-    std::uint64_t traverse_prefetches = 0; ///< next->next software prefetches issued
-    std::uint64_t deferred_flushes = 0;    ///< always 0: the deferred-release buffer is gone
+    std::uint64_t deferred_flushes = 0;    ///< always 0: the deferred-release buffer is gone; no cell feeds it
 
     op_counters& operator+=(const op_counters& o) noexcept;
 };
 
-/// The per-thread mutable counters (same field names as op_counters, but
-/// each field is a single-writer atomic cell).
+/// The per-thread mutable counters (op_counters' fields but the always-0
+/// deferred_flushes, each a single-writer atomic cell).
 struct op_counters_tls {
     owned_counter_cell safe_reads;
     owned_counter_cell saferead_retries;
@@ -87,33 +88,68 @@ struct op_counters_tls {
     owned_counter_cell traverse_hops;
     owned_counter_cell traverse_fast_hops;
     owned_counter_cell batch_fallbacks;
-    owned_counter_cell traverse_prefetches;
-    owned_counter_cell deferred_flushes;
 
     /// Relaxed read of every cell into a plain value.
     op_counters read() const noexcept;
     void clear() noexcept;
 };
 
-namespace instrument {
+namespace telemetry {
+
+namespace prof {
+/// The armed op's accumulator (profiler.hpp); reused across samples.
+struct op_ctx {
+    std::uint64_t t0_ns = 0;
+    std::uint64_t phase_start_ns = 0;
+    std::uint64_t key = 0;
+    std::uint64_t cas_failures0 = 0;
+    std::uint64_t total_ns = 0;  ///< set when the sample completes
+    std::uint64_t phase_ns[phase_count] = {};
+    std::int64_t shard = -1;
+    trace_op op = trace_op::other;
+    phase cur = phase::traverse;
+};
+}  // namespace prof
+
+/// Everything telemetry keeps per thread.
+struct thread_record {
+    op_counters_tls counters;
+    // Sampled-profiler state (profiler.hpp).
+    std::uint64_t countdown = 1;   ///< ops until the next sample
+    std::uint64_t rng = 0;         ///< xorshift64* gap-draw state
+    std::uint64_t samples = 0;     ///< samples completed on this thread
+    std::int64_t shard_hint = -1;  ///< set by sharded_kv, consumed at arm
+    std::uint32_t ordinal = 0;     ///< stable thread id for event records
+    bool seeded = false;           ///< a sched session worker (seed_thread)
+    prof::op_ctx* active = nullptr;  ///< non-null while a sampled op runs
+    prof::op_ctx ctx;
+};
 
 namespace detail {
-/// Registers this thread's counter slot (out of line; takes the registry
-/// lock once) and primes `cached` for the fast path below.
-op_counters_tls& tls_slow();
-/// Plain trivially-destructible thread_local pointer: unlike the slot
-/// itself it needs no init-guard check, so the steady-state tls() access
-/// compiles to one TLS load + branch. Nulled when the slot is destroyed
-/// at thread exit (late calls fall back to tls_slow).
-inline thread_local op_counters_tls* cached = nullptr;
+/// Registers this thread's record (out of line; takes the registry lock
+/// once, seeds the sampler) and primes `cached` for the fast path below.
+thread_record& record_slow();
+/// Plain trivially-destructible thread_local pointer: unlike the record
+/// itself it needs no init-guard check, so the steady-state record()
+/// access compiles to one TLS load + branch. Nulled when the record is
+/// destroyed at thread exit (late calls fall back to record_slow).
+inline thread_local thread_record* cached = nullptr;
 }  // namespace detail
+
+/// This thread's record. After the first call in a thread this is an
+/// inline TLS pointer load.
+inline thread_record& record() {
+    if (thread_record* p = detail::cached) return *p;
+    return detail::record_slow();
+}
+
+}  // namespace telemetry
+
+namespace instrument {
 
 /// This thread's counters. Cheap enough to call on hot paths: after the
 /// first call in a thread this is an inline TLS pointer load.
-inline op_counters_tls& tls() {
-    if (op_counters_tls* p = detail::cached) return *p;
-    return detail::tls_slow();
-}
+inline op_counters_tls& tls() { return telemetry::record().counters; }
 
 /// Sum of all counters: live threads' current values plus totals from
 /// threads that have exited. Exact when mutators are quiescent; a monotone

@@ -1,8 +1,8 @@
-// Out-of-line profiler pieces: knob resolution, per-thread sampler
-// registration, registry handle caches, and the exporter-facing
-// publication surface. Everything schedule-sensitive (arming, the ring's
-// claim->publish window) lives inline in profiler.hpp so chaos-enabled
-// TUs compile the typed chaos points in; nothing here carries one.
+// Out-of-line profiler pieces: knob resolution, registry handle caches,
+// and the exporter-facing publication surface. Everything
+// schedule-sensitive (arming, the ring's claim->publish window) lives
+// inline in profiler.hpp so chaos-enabled TUs compile the typed chaos
+// points in; nothing here carries one.
 #include "lfll/telemetry/profiler.hpp"
 
 #include <array>
@@ -68,34 +68,6 @@ bool slow_ns_overridden() noexcept {
 }
 
 namespace detail {
-
-namespace {
-/// Wrapper whose destructor un-caches the slot, so a late op_scope during
-/// thread teardown re-registers instead of touching a dead object (the
-/// same shape as instrument::detail).
-struct tls_holder {
-    prof_tls t;
-    ~tls_holder() { cached = nullptr; }
-};
-}  // namespace
-
-prof_tls& tls_slow() {
-    static std::atomic<std::uint32_t> next_ordinal{0};
-    thread_local tls_holder holder;
-    prof_tls& t = holder.t;
-    if (t.rng == 0) {
-        t.ordinal = next_ordinal.fetch_add(1, std::memory_order_relaxed);
-        // splitmix64 of the ordinal: distinct nonzero stream per thread.
-        std::uint64_t z = (static_cast<std::uint64_t>(t.ordinal) + 1) *
-                          0x9E3779B97F4A7C15ULL;
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-        t.rng = z != 0 ? z : 0x9E3779B97F4A7C15ULL;
-        t.countdown = next_gap(t.rng, sample_rate());
-    }
-    cached = &t;
-    return t;
-}
 
 histogram& phase_hist(phase p) {
     static const auto handles = [] {

@@ -1,9 +1,9 @@
 // Always-on sampled operation profiler: phase-level latency attribution,
-// a hot-key contention sketch, and a slow-op capture ring — compiled into
-// normal builds (no LFLL_TRACE rebuild).
+// a hot-key contention sketch, and the event ring — compiled into every
+// build. op_scope is the one per-op event boundary.
 //
 // Why sampling: the §4.1 cost model (and the related retry-behaviour
-// studies — see ISSUE/PAPERS) says *where* an operation's time goes —
+// studies — see PAPERS.md) says *where* an operation's time goes —
 // traversal vs CAS retries vs SafeRead vs allocation vs reclamation vs
 // backoff — decides which algorithm wins under load, but per-op timing of
 // every operation would dwarf the ~1 RMW/hop traversal engine it is
@@ -17,8 +17,9 @@
 //       CAS-failure counts (and the shard, when routed via sharded_kv),
 //   (c) when total latency exceeds LFLL_SLOW_OP_NS: a slow-op record —
 //       full phase breakdown + a policy-health gauge snapshot — into a
-//       bounded MPSC seqlock ring, dumped by the jsonl exporter and
-//       rendered offline by tools/lfll_prof.
+//       bounded MPSC seqlock ring, dumped by the jsonl exporter,
+//       rendered offline by tools/lfll_prof, and exported as a Chrome
+//       trace by chrome_trace_json() (trace.hpp).
 //
 // The non-negotiable hot-path contract (bench-gated in CI at 3% on E7):
 // an UNSAMPLED operation pays one cached-TLS-pointer load + branch and
@@ -59,34 +60,6 @@
 
 namespace lfll::telemetry::prof {
 
-/// Latency attribution buckets. `traverse` is the default (an op's time
-/// is traversal unless a nested scope says otherwise); `bucket_split` is
-/// the split-ordered map's lazy-split attribution (a split is traversal
-/// + insert work done on behalf of a bystander op — worth seeing apart).
-enum class phase : std::uint8_t {
-    traverse = 0,  ///< walking cells/aux nodes (the default phase)
-    cas_retry,     ///< re-validating + retrying after a failed TryInsert/TryDelete
-    safe_read,     ///< the fully counted SafeRead repositioning slow path
-    alloc,         ///< node_pool Alloc (magazine hit or miss)
-    reclaim,       ///< retire/drain/cascade work
-    backoff,       ///< waiting in the exponential backoff
-    bucket_split,  ///< split-ordered lazy bucket initialization
-};
-inline constexpr int phase_count = 7;
-
-constexpr const char* phase_name(phase p) noexcept {
-    switch (p) {
-        case phase::traverse:     return "traverse";
-        case phase::cas_retry:    return "cas_retry";
-        case phase::safe_read:    return "safe_read";
-        case phase::alloc:        return "alloc";
-        case phase::reclaim:      return "reclaim";
-        case phase::backoff:      return "backoff";
-        case phase::bucket_split: return "bucket_split";
-    }
-    return "?";
-}
-
 // ------------------------------------------------------------ knobs
 // Default -> environment (read once, through lfll/primitives/env.hpp)
 // -> runtime override (for in-process A/B and tests).
@@ -107,43 +80,7 @@ void set_slow_ns_override(std::int64_t ns) noexcept;
 /// Whether set_slow_ns_override currently pins the threshold.
 bool slow_ns_overridden() noexcept;
 
-// --------------------------------------------------- per-sample context
-
-/// The armed op's accumulator; thread-private, reused across samples.
-struct op_ctx {
-    std::uint64_t t0_ns = 0;
-    std::uint64_t phase_start_ns = 0;
-    std::uint64_t key = 0;
-    std::uint64_t cas_failures0 = 0;
-    std::uint64_t total_ns = 0;  ///< set when the sample completes
-    std::uint64_t phase_ns[phase_count] = {};
-    std::int64_t shard = -1;
-    trace_op op = trace_op::other;
-    phase cur = phase::traverse;
-};
-
 namespace detail {
-
-struct prof_tls {
-    std::uint64_t countdown = 1;  ///< ops until the next sample
-    std::uint64_t rng = 0;        ///< xorshift64* gap-draw state
-    std::uint64_t samples = 0;    ///< samples completed on this thread
-    std::int64_t shard_hint = -1; ///< set by sharded_kv, consumed at arm
-    std::uint32_t ordinal = 0;    ///< stable thread id for slow-op records
-    bool seeded = false;          ///< a sched session worker (seed_thread)
-    op_ctx* active = nullptr;     ///< non-null while a sampled op runs
-    op_ctx ctx;
-};
-
-/// Registers this thread's slot (out of line) and primes `cached`, so the
-/// steady-state tls() is one TLS pointer load + branch — the same fast
-/// path as instrument::tls().
-prof_tls& tls_slow();
-inline thread_local prof_tls* cached = nullptr;
-inline prof_tls& tls() noexcept {
-    if (prof_tls* p = cached) return *p;
-    return tls_slow();
-}
 
 inline std::uint64_t now_ns() noexcept {
     return static_cast<std::uint64_t>(
@@ -317,7 +254,9 @@ struct slow_op_record {
 /// oldest record — the ring is a flight recorder, not a log.
 class slow_op_ring {
 public:
-    static constexpr std::size_t capacity = 64;  // power of two
+    // Power of two. Zero-initialised static storage: a cell costs RSS
+    // only once it is written.
+    static constexpr std::size_t capacity = 4096;
     static constexpr std::size_t word_count = 17;
 
     void push(const slow_op_record& r) noexcept {
@@ -408,7 +347,7 @@ namespace detail {
 /// (not in profiler.cpp) so the `sample` chaos point compiles into
 /// chaos-enabled TUs. Returns false when the profiler is disabled — the
 /// countdown is refilled either way, keeping on/off fast paths identical.
-inline bool arm(prof_tls& t, trace_op op, std::uint64_t key) noexcept {
+inline bool arm(thread_record& t, trace_op op, std::uint64_t key) noexcept {
     if (t.rng == 0) t.rng = 0x9E3779B97F4A7C15ULL;  // reseed guard
     t.countdown = next_gap(t.rng, sample_rate());
     if (!enabled()) return false;
@@ -419,7 +358,7 @@ inline bool arm(prof_tls& t, trace_op op, std::uint64_t key) noexcept {
     c.key = key;
     c.shard = t.shard_hint;
     t.shard_hint = -1;
-    c.cas_failures0 = instrument::tls().cas_failures.load();
+    c.cas_failures0 = t.counters.cas_failures.load();
     c.t0_ns = c.phase_start_ns = now_ns();
     t.active = &c;
     return true;
@@ -428,14 +367,14 @@ inline bool arm(prof_tls& t, trace_op op, std::uint64_t key) noexcept {
 /// Complete the sample: close the open phase, publish histograms, feed
 /// the sketch, and capture a slow-op record past the threshold. Inline
 /// for the same chaos-point reason (slow_ring().push carries one).
-inline void finish(prof_tls& t) noexcept {
+inline void finish(thread_record& t) noexcept {
     op_ctx& c = t.ctx;
     const std::uint64_t now = now_ns();
     c.phase_ns[static_cast<int>(c.cur)] += now - c.phase_start_ns;
     c.total_ns = now - c.t0_ns;
     t.active = nullptr;
     t.samples++;
-    const std::uint64_t cas_fails = instrument::tls().cas_failures.load() - c.cas_failures0;
+    const std::uint64_t cas_fails = t.counters.cas_failures.load() - c.cas_failures0;
 
     sampled_counter().add(1);
     op_hist(c.op).record(c.total_ns);
@@ -472,7 +411,7 @@ inline void finish(prof_tls& t) noexcept {
 class op_scope {
 public:
     op_scope(trace_op op, std::uint64_t key) noexcept {
-        detail::prof_tls& t = detail::tls();
+        thread_record& t = record();
         if (t.active != nullptr) return;  // nested: outer op owns the sample
         if (--t.countdown != 0) return;   // the unsampled fast path
         if (detail::arm(t, op, key)) t_ = &t;
@@ -485,7 +424,7 @@ public:
     op_scope& operator=(const op_scope&) = delete;
 
 private:
-    detail::prof_tls* t_ = nullptr;
+    thread_record* t_ = nullptr;
 };
 
 /// Exclusive-time phase marker: while alive, the armed op's elapsed time
@@ -495,7 +434,7 @@ private:
 class phase_scope {
 public:
     explicit phase_scope(phase p) noexcept {
-        detail::prof_tls* t = detail::cached;
+        thread_record* t = telemetry::detail::cached;
         if (t == nullptr || t->active == nullptr) return;
         c_ = t->active;
         prev_ = c_->cur;
@@ -523,9 +462,9 @@ private:
 /// Shard attribution hint: sharded_kv calls this just before delegating
 /// an op, so a sample armed inside the shard's map carries the shard
 /// index into the sketch and slow-op records. Consumed (and reset) at
-/// arm time; a no-op until this thread's profiler TLS exists.
+/// arm time; a no-op until this thread's telemetry record exists.
 inline void note_shard(std::int64_t shard) noexcept {
-    if (detail::prof_tls* t = detail::cached) t->shard_hint = shard;
+    if (thread_record* t = telemetry::detail::cached) t->shard_hint = shard;
 }
 
 // ------------------------------------------------- publication
@@ -619,12 +558,12 @@ private:
 namespace testing {
 
 /// Force the next op_scope on this thread to sample (countdown = 1).
-inline void force_sample_next() noexcept { detail::tls().countdown = 1; }
+inline void force_sample_next() noexcept { record().countdown = 1; }
 
 /// Reseed this thread's gap RNG and draw a fresh countdown, so a test
 /// can replay the exact sample positions with detail::next_gap.
 inline void reseed(std::uint64_t seed) noexcept {
-    detail::prof_tls& t = detail::tls();
+    thread_record& t = record();
     t.rng = seed != 0 ? seed : 0x9E3779B97F4A7C15ULL;
     t.countdown = detail::next_gap(t.rng, sample_rate());
 }
@@ -635,15 +574,15 @@ inline void reseed(std::uint64_t seed) noexcept {
 /// on every session worker.
 inline void seed_thread(std::uint64_t seed) noexcept {
     reseed(seed);
-    detail::tls().seeded = true;
+    record().seeded = true;
 }
 
 /// Samples completed on this thread since it first touched the profiler.
-inline std::uint64_t thread_sample_count() noexcept { return detail::tls().samples; }
+inline std::uint64_t thread_sample_count() noexcept { return record().samples; }
 
 /// The last completed sample's context (valid when thread_sample_count()
 /// > 0 and no op is currently armed).
-inline const op_ctx& last_sample() noexcept { return detail::tls().ctx; }
+inline const op_ctx& last_sample() noexcept { return record().ctx; }
 
 }  // namespace testing
 

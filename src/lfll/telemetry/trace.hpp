@@ -1,23 +1,16 @@
-// Flight recorder: per-thread fixed-size binary ring buffers of compact
-// operation events, compiled in only when LFLL_TRACE is defined
-// (cmake -DLFLL_TRACE=ON). With the flag off every annotation compiles
-// to nothing — the span macro expands to `do {} while (0)` and its
-// arguments are never evaluated.
+// The event vocabulary — what a sampled operation is called (its op
+// kind) and where its time went (its phases) — and the Chrome trace
+// export of the profiler's event ring.
 //
-// Each event is 32 bytes: timestamp, duration, op kind, retry count
-// (delta of the op-counter retry cells across the span), a key hash, and
-// the policy phase (mutator vs. inside a reclamation drain/scan). Rings
-// are single-writer (the owning thread); when a ring fills it wraps —
-// a flight recorder keeps the *latest* window, which is the one you want
-// when something goes wrong at hour three of a soak.
-//
-// Export: chrome_trace_json() / write_chrome_trace() emit the Chrome
-// trace_event format ("traceEvents" array of "ph":"X" complete events),
-// which loads directly in Perfetto (ui.perfetto.dev) or chrome://tracing.
-// Export while writers are still running is a best-effort racy read;
-// quiesce first for an exact trace (docs/telemetry.md).
-//
-// Ring capacity: 16384 events per thread.
+// There is one event record (prof::slow_op_record, profiler.hpp) and one
+// store for it (the seqlock slow_op_ring). chrome_trace_json() /
+// write_chrome_trace() render the records the ring currently holds as
+// Chrome trace_event "ph":"X" complete events, which load directly in
+// Perfetto (ui.perfetto.dev) or chrome://tracing. A full trace of a run
+// is LFLL_PROFILE_RATE=1 LFLL_SLOW_OP_NS=0 in the normal build: every op
+// is sampled and every sample is captured; the ring keeps the latest
+// slow_op_ring::capacity of them. Export while writers run is safe: the
+// seqlock drops a record that is mid-publish, never tears one.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +19,7 @@
 
 namespace lfll::telemetry {
 
-/// Hash a key for trace args; 0 for types std::hash cannot digest.
-/// (Only evaluated when tracing is compiled in — the span macro swallows
-/// its arguments otherwise.)
+/// Hash a key for event args; 0 for types std::hash cannot digest.
 template <typename K>
 std::uint64_t key_hash(const K& k) noexcept {
     if constexpr (requires { std::hash<K>{}(k); }) {
@@ -38,122 +29,53 @@ std::uint64_t key_hash(const K& k) noexcept {
     }
 }
 
-/// Operation kinds the recorder distinguishes (the Chrome event name).
+/// Operation kinds an op_scope names (the Chrome event name).
 enum class trace_op : std::uint16_t {
     insert = 0,
     erase,
     find,
-    traverse,
     enqueue,
     dequeue,
-    push,
-    pop,
-    drain,
-    scan,
     other,
-};
-
-/// Policy phase an event was recorded under.
-enum class trace_phase : std::uint8_t {
-    mutator = 0,  ///< ordinary operation
-    reclaim = 1,  ///< inside a drain/scan/cascade
 };
 
 const char* trace_op_name(trace_op op) noexcept;
 
-#if defined(LFLL_TRACE)
+namespace prof {
 
-/// One recorded event (fixed 32-byte layout; single-writer per ring).
-struct trace_event {
-    std::uint64_t ts_ns;    ///< start, ns since the recorder epoch
-    std::uint64_t key_hash; ///< operation key hash (0 when not hashable)
-    std::uint32_t dur_ns;   ///< span duration, saturating
-    std::uint16_t op;       ///< trace_op
-    std::uint8_t phase;     ///< trace_phase
-    std::uint8_t retries;   ///< retry delta across the span, saturating
-    std::uint32_t pad;
+/// Latency attribution buckets. `traverse` is the default (an op's time
+/// is traversal unless a nested scope says otherwise); `bucket_split` is
+/// the split-ordered map's lazy-split attribution (a split is traversal
+/// + insert work done on behalf of a bystander op — worth seeing apart).
+enum class phase : std::uint8_t {
+    traverse = 0,  ///< walking cells/aux nodes (the default phase)
+    cas_retry,     ///< re-validating + retrying after a failed TryInsert/TryDelete
+    safe_read,     ///< the fully counted SafeRead repositioning slow path
+    alloc,         ///< node_pool Alloc (magazine hit or miss)
+    reclaim,       ///< retire/drain/cascade work
+    backoff,       ///< waiting in the exponential backoff
+    bucket_split,  ///< split-ordered lazy bucket initialization
 };
-static_assert(sizeof(trace_event) == 32);
+inline constexpr int phase_count = 7;
 
-namespace trace_detail {
-void emit(trace_op op, std::uint64_t key_hash, std::uint64_t ts_ns,
-          std::uint32_t dur_ns, std::uint8_t retries) noexcept;
-std::uint64_t now_ns() noexcept;
-std::uint64_t retry_cells() noexcept;
-trace_phase& tls_phase() noexcept;
-}  // namespace trace_detail
-
-/// RAII span: records one event covering its lifetime.
-class trace_span {
-public:
-    trace_span(trace_op op, std::uint64_t key_hash) noexcept
-        : op_(op),
-          key_hash_(key_hash),
-          t0_(trace_detail::now_ns()),
-          retries0_(trace_detail::retry_cells()) {}
-
-    ~trace_span() {
-        const std::uint64_t dur = trace_detail::now_ns() - t0_;
-        const std::uint64_t r = trace_detail::retry_cells() - retries0_;
-        trace_detail::emit(
-            op_, key_hash_, t0_,
-            dur > 0xffffffffu ? 0xffffffffu : static_cast<std::uint32_t>(dur),
-            r > 0xff ? std::uint8_t{0xff} : static_cast<std::uint8_t>(r));
+constexpr const char* phase_name(phase p) noexcept {
+    switch (p) {
+        case phase::traverse:     return "traverse";
+        case phase::cas_retry:    return "cas_retry";
+        case phase::safe_read:    return "safe_read";
+        case phase::alloc:        return "alloc";
+        case phase::reclaim:      return "reclaim";
+        case phase::backoff:      return "backoff";
+        case phase::bucket_split: return "bucket_split";
     }
+    return "?";
+}
 
-    trace_span(const trace_span&) = delete;
-    trace_span& operator=(const trace_span&) = delete;
+}  // namespace prof
 
-private:
-    trace_op op_;
-    std::uint64_t key_hash_;
-    std::uint64_t t0_;
-    std::uint64_t retries0_;
-};
-
-/// RAII phase marker: events recorded inside carry the given phase.
-class trace_phase_scope {
-public:
-    explicit trace_phase_scope(trace_phase p) noexcept
-        : prev_(trace_detail::tls_phase()) {
-        trace_detail::tls_phase() = p;
-    }
-    ~trace_phase_scope() { trace_detail::tls_phase() = prev_; }
-
-    trace_phase_scope(const trace_phase_scope&) = delete;
-    trace_phase_scope& operator=(const trace_phase_scope&) = delete;
-
-private:
-    trace_phase prev_;
-};
-
-inline constexpr bool trace_enabled = true;
-
-#define LFLL_TRACE_SPAN(op, key_hash) \
-    ::lfll::telemetry::trace_span lfll_trace_span_((op), (key_hash))
-#define LFLL_TRACE_PHASE(p) ::lfll::telemetry::trace_phase_scope lfll_trace_phase_((p))
-
-#else  // !LFLL_TRACE
-
-inline constexpr bool trace_enabled = false;
-
-#define LFLL_TRACE_SPAN(op, key_hash) \
-    do {                              \
-    } while (0)
-#define LFLL_TRACE_PHASE(p) \
-    do {                    \
-    } while (0)
-
-#endif  // LFLL_TRACE
-
-/// Total events currently held across all rings (0 when tracing is off).
-std::size_t trace_event_count();
-
-/// Quiescent-only: empty every ring (tests).
-void trace_reset();
-
-/// The recorded window in Chrome trace_event JSON. Always returns a valid
-/// document; with tracing compiled out it is `{"traceEvents":[]}`.
+/// The event ring's records in Chrome trace_event JSON, oldest first.
+/// Each event's args carry the key hash, CAS failures, shard and the
+/// per-phase ns (`<phase>_ns`). Always a valid document.
 std::string chrome_trace_json();
 
 /// Writes chrome_trace_json() to `path`. Returns false on I/O error.

@@ -9,7 +9,7 @@
 #include "lfll/harness/runner.hpp"
 #include "lfll/harness/stats.hpp"
 #include "lfll/harness/table.hpp"
-#include "lfll/primitives/instrument.hpp"
+#include "lfll/telemetry/op_counters.hpp"
 
 namespace {
 

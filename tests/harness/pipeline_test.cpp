@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -183,13 +184,71 @@ TEST(Pipeline, ConcurrentMixedClientsStayLinearizablePerKey) {
         << "won inserts minus won erases must equal the live count";
 }
 
+/// One-shard store whose batch blocks while it holds `gate_key` and the
+/// gate is shut, so its drainer keeps the drain flag across a known wait.
+struct gated_store {
+    using key_type = int;
+    using mapped_type = int;
+    static constexpr int gate_key = -1;
+
+    sorted_list_map<int, int> map{64};
+    std::atomic<bool> entered{false};
+    std::atomic<bool> open{false};
+
+    std::size_t shard_count() const noexcept { return 1; }
+    std::size_t shard_of(int) const noexcept { return 0; }
+    gated_store& shard_at(std::size_t) noexcept { return *this; }
+
+    void apply_batch(const batch_op<int, int>* ops, std::size_t n, batch_result<int>* out) {
+        for (std::size_t i = 0; i < n; ++i) {
+            if (ops[i].key != gate_key) continue;
+            entered.store(true, std::memory_order_release);
+            while (!open.load(std::memory_order_acquire)) std::this_thread::yield();
+        }
+        map.apply_batch(ops, n, out);
+    }
+};
+
 TEST(Pipeline, CompleteFallbackWaitIsAlwaysWoken) {
-    // Drives complete() into its futex fallback: the executor holds the
-    // drain flag through an under-full batch's coalescing wait, so a
-    // helping client loses the flag race eight times and sleeps in
-    // r.wait() until that drainer publishes kDone. A lost wake-up there
-    // hangs the test (it carries a ctest TIMEOUT). The ring holds every
-    // client's whole window, so no-wake submits never block on it.
+    // Drives complete() into its futex fallback, where a helping client
+    // that lost the drain-flag race eight times sleeps in r.wait() until
+    // the flag's holder publishes kDone. A lost wake-up there hangs the
+    // test (it carries a ctest TIMEOUT).
+    auto& sleeps = telemetry::registry::global().get_counter(
+        "lfll_pipeline_complete_sleeps_total");
+    const std::uint64_t sleeps_before = sleeps.value();
+    {
+        // Deterministic: the executor drains the gate request and holds
+        // the flag until the gate opens, which happens only once the
+        // client's complete() has counted its sleep.
+        gated_store gs;
+        gs.map.insert(7, 307);
+        request_pipeline<gated_store> pipe(gs);
+        request_pipeline<gated_store>::request gate;
+        pipe.submit(gate, batch_op_kind::get, gated_store::gate_key);
+        while (!gs.entered.load(std::memory_order_acquire)) std::this_thread::yield();
+        std::thread client([&pipe] {
+            request_pipeline<gated_store>::request r;
+            pipe.submit(r, batch_op_kind::get, 7, 0, /*wake=*/false);
+            pipe.complete(r);
+            EXPECT_EQ(r.result().value, std::optional<int>(307));
+        });
+        // Bounded, so a complete() that never sleeps fails the final
+        // EXPECT instead of hanging.
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (sleeps.value() == sleeps_before && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+        }
+        gs.open.store(true, std::memory_order_release);
+        client.join();
+        gate.wait();
+        EXPECT_FALSE(gate.result().ok);
+    }
+
+    // Under load: the executor holds the drain flag through an under-full
+    // batch's coalescing wait while helping clients race it. The ring
+    // holds every client's whole window, so no-wake submits never block
+    // on it.
     constexpr int kPipelines = 25;
     constexpr int kClients = 4;
     constexpr int kWindow = 4;
@@ -200,9 +259,6 @@ TEST(Pipeline, CompleteFallbackWaitIsAlwaysWoken) {
     cfg.ring_capacity = kClients * kWindow;
     cfg.batch_max = 8;
     cfg.batch_wait_us = 20;
-    auto& sleeps = telemetry::registry::global().get_counter(
-        "lfll_pipeline_complete_sleeps_total");
-    const std::uint64_t sleeps_before = sleeps.value();
     using pipe_t = request_pipeline<sorted_store>;
     for (int p = 0; p < kPipelines; ++p) {
         pipe_t pipe(store, cfg);

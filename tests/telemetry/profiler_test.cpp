@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -270,7 +271,8 @@ void expect_consistent(const slow_op_record& r) {
 }
 
 TEST(SlowOpRing, WraparoundKeepsNewestRecords) {
-    slow_op_ring ring;
+    const auto owned = std::make_unique<slow_op_ring>();  // too big for a stack
+    slow_op_ring& ring = *owned;
     constexpr std::uint64_t kPushes = 3 * slow_op_ring::capacity + 11;
     for (std::uint64_t i = 0; i < kPushes; ++i) ring.push(make_record(i));
     EXPECT_EQ(ring.head(), kPushes);
@@ -297,10 +299,13 @@ TEST(SlowOpRing, WraparoundKeepsNewestRecords) {
 }
 
 TEST(SlowOpRing, ConcurrentWritersNeverTearRecords) {
-    slow_op_ring ring;
+    const auto owned = std::make_unique<slow_op_ring>();  // too big for a stack
+    slow_op_ring& ring = *owned;
     constexpr int kWriters = 4;
+    // Enough pushes to wrap the ring at every test scale.
     const std::uint64_t per_writer =
-        static_cast<std::uint64_t>(lfll_test::scaled_min(4000, 200));
+        static_cast<std::uint64_t>(lfll_test::scaled_min(4000, 200)) +
+        slow_op_ring::capacity / kWriters;
     std::atomic<bool> stop_reader{false};
     std::uint64_t reads = 0;
 

@@ -3,24 +3,55 @@
 // policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "lfll/adapters/valois_queue.hpp"
 #include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/memory/policy.hpp"
-#include "lfll/primitives/instrument.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
 #include "lfll/reclaim/hazard_policy.hpp"
 #include "lfll/telemetry/exporter.hpp"
 #include "lfll/telemetry/metrics.hpp"
+#include "lfll/telemetry/op_counters.hpp"
+#include "lfll/telemetry/profiler.hpp"
 #include "lfll/telemetry/trace.hpp"
+#include "test_scale.hpp"
 
 namespace {
 
 using namespace lfll::telemetry;
+
+// Braces balance outside strings — cheap well-formedness check.
+void expect_balanced_json(const std::string& text) {
+    int depth = 0;
+    bool in_str = false;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const char c = text[i];
+        if (in_str) {
+            if (c == '\\') ++i;
+            else if (c == '"') in_str = false;
+        } else if (c == '"') {
+            in_str = true;
+        } else if (c == '{') {
+            ++depth;
+        } else if (c == '}') {
+            --depth;
+            EXPECT_GE(depth, 0);
+        }
+    }
+    EXPECT_EQ(depth, 0);
+    EXPECT_FALSE(in_str);
+}
 
 // ---------------------------------------------------------------- counter
 
@@ -222,58 +253,158 @@ TEST(Exporter, JsonlBalancedAndOneLine) {
     ASSERT_FALSE(line.empty());
     EXPECT_EQ(line.back(), '\n');
     EXPECT_EQ(line.find('\n'), line.size() - 1);  // single line
-    // Braces balance outside strings — cheap well-formedness check.
-    int depth = 0;
-    bool in_str = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        const char c = line[i];
-        if (in_str) {
-            if (c == '\\') ++i;
-            else if (c == '"') in_str = false;
-        } else if (c == '"') {
-            in_str = true;
-        } else if (c == '{') {
-            ++depth;
-        } else if (c == '}') {
-            --depth;
-            EXPECT_GE(depth, 0);
-        }
-    }
-    EXPECT_EQ(depth, 0);
-    EXPECT_FALSE(in_str);
+    expect_balanced_json(line);
 }
 
 // ------------------------------------------------------- trace round-trip
 
+/// Pins every op on this thread (and every thread started while alive)
+/// to be sampled and captured into the event ring, which starts empty.
+class full_trace {
+public:
+    full_trace() {
+        prof::set_enabled_override(1);
+        prof::set_rate_override(1);
+        prof::set_slow_ns_override(0);
+        prof::testing::force_sample_next();
+        prof::slow_ring().clear();
+    }
+    ~full_trace() {
+        prof::set_enabled_override(-1);
+        prof::set_rate_override(-1);
+        prof::set_slow_ns_override(-1);
+        prof::slow_ring().clear();
+    }
+};
+
+/// One Chrome event, read back from chrome_trace_json().
+struct trace_event {
+    std::string name;
+    std::uint64_t tid = 0;
+    std::uint64_t dur_ns = 0;
+    std::uint64_t key_hash = 0;
+    std::uint64_t phase_sum_ns = 0;
+};
+
+std::vector<trace_event> parse_events(const std::string& json) {
+    std::vector<trace_event> out;
+    const auto field = [](const std::string& ev, const char* key) {
+        const std::size_t at = ev.find(key);
+        if (at == std::string::npos) {
+            ADD_FAILURE() << "no " << key << " in " << ev;
+            return 0.0;
+        }
+        return std::strtod(ev.c_str() + at + std::strlen(key), nullptr);
+    };
+    for (std::size_t at = json.find("{\"name\":\""); at != std::string::npos;
+         at = json.find("{\"name\":\"", at + 1)) {
+        const std::string ev = json.substr(at, json.find("}}", at) + 2 - at);
+        trace_event e;
+        e.name = ev.substr(9, ev.find('"', 9) - 9);
+        e.tid = static_cast<std::uint64_t>(field(ev, "\"tid\":"));
+        e.dur_ns = static_cast<std::uint64_t>(std::llround(field(ev, "\"dur\":") * 1000.0));
+        e.key_hash = static_cast<std::uint64_t>(field(ev, "\"key_hash\":"));
+        for (int p = 0; p < prof::phase_count; ++p) {
+            const std::string key =
+                std::string("\"") + prof::phase_name(static_cast<prof::phase>(p)) + "_ns\":";
+            e.phase_sum_ns += static_cast<std::uint64_t>(field(ev, key.c_str()));
+        }
+        out.push_back(e);
+    }
+    return out;
+}
+
+bool has_event(const std::vector<trace_event>& events, const std::string& name) {
+    return std::any_of(events.begin(), events.end(),
+                       [&](const trace_event& e) { return e.name == name; });
+}
+
 TEST(Trace, ChromeJsonSchemaRoundTrip) {
-    trace_reset();
+    full_trace pinned;
     {
-        // Generate some ops; with LFLL_TRACE off these leave no events.
         lfll::sorted_list_map<int, int> m(256);
         for (int i = 0; i < 32; ++i) m.insert(i, i);
         for (int i = 0; i < 32; i += 2) m.erase(i);
         for (int i = 0; i < 32; ++i) (void)m.contains(i);
     }
     const std::string json = chrome_trace_json();
-    // Always a valid Chrome trace envelope.
     EXPECT_EQ(json.rfind("{\"displayTimeUnit\":", 0), 0u);
     EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
     EXPECT_EQ(json.back(), '}');
+    expect_balanced_json(json);
+    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+    EXPECT_NE(json.find("\"ts\":"), std::string::npos);
+    EXPECT_NE(json.find("\"cas_failures\":"), std::string::npos);
+    EXPECT_NE(json.find("\"shard\":"), std::string::npos);
 
-    if constexpr (trace_enabled) {
-        EXPECT_GT(trace_event_count(), 0u);
-        EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-        EXPECT_NE(json.find("\"name\":\"insert\""), std::string::npos);
-        EXPECT_NE(json.find("\"name\":\"erase\""), std::string::npos);
-        EXPECT_NE(json.find("\"name\":\"find\""), std::string::npos);
-        EXPECT_NE(json.find("\"ts\":"), std::string::npos);
-        EXPECT_NE(json.find("\"dur\":"), std::string::npos);
-        EXPECT_NE(json.find("\"key_hash\":"), std::string::npos);
-    } else {
-        EXPECT_EQ(trace_event_count(), 0u);
-        EXPECT_NE(json.find("\"traceEvents\":[]"), std::string::npos);
+    const std::vector<trace_event> events = parse_events(json);
+    EXPECT_EQ(events.size(), 32u + 16u + 32u);  // one per op, none dropped
+    EXPECT_TRUE(has_event(events, "insert"));
+    EXPECT_TRUE(has_event(events, "erase"));
+    EXPECT_TRUE(has_event(events, "find"));
+    for (const trace_event& e : events) {
+        EXPECT_LT(e.key_hash, 32u);  // std::hash<int> of a key in [0, 32)
+        EXPECT_EQ(e.phase_sum_ns, e.dur_ns) << e.name;  // exclusive phases
     }
-    trace_reset();
+}
+
+TEST(Trace, QueueOpsAreEvents) {
+    full_trace pinned;
+    {
+        lfll::valois_queue<int> q;
+        for (int i = 0; i < 8; ++i) q.enqueue(i);
+        for (int i = 0; i < 8; ++i) EXPECT_EQ(q.dequeue(), std::optional<int>(i));
+    }
+    const std::vector<trace_event> events = parse_events(chrome_trace_json());
+    EXPECT_TRUE(has_event(events, "enqueue"));
+    EXPECT_TRUE(has_event(events, "dequeue"));
+}
+
+TEST(Trace, ExportWhileWritersRunNeverTears) {
+    // Three writers at rate 1 / threshold 0 publish into the ring while
+    // this thread exports it. A torn record would pair one writer's key
+    // with another's thread id, or a duration with another op's phases.
+    full_trace pinned;
+    constexpr int kWriters = 3;
+    constexpr int kKeys = 64;
+    lfll::sorted_list_map<int, int> m(kWriters * kKeys * 2);
+    std::atomic<int> running{kWriters};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+        writers.emplace_back([&m, &running, w] {
+            const int rounds = lfll_test::scaled_min(200, 20);
+            for (int r = 0; r < rounds; ++r) {
+                for (int k = w * 1000; k < w * 1000 + kKeys; ++k) {
+                    m.insert(k, r);
+                    (void)m.contains(k);
+                    m.erase(k);
+                }
+            }
+            running.fetch_sub(1, std::memory_order_release);
+        });
+    }
+    std::size_t exports = 0;
+    std::size_t seen = 0;
+    std::size_t torn = 0;
+    std::map<std::uint64_t, std::uint64_t> writer_of_tid;
+    do {
+        const std::string json = chrome_trace_json();
+        expect_balanced_json(json);
+        for (const trace_event& e : parse_events(json)) {
+            ++seen;
+            const std::uint64_t w = e.key_hash / 1000;
+            const auto [it, fresh] = writer_of_tid.emplace(e.tid, w);
+            if (w >= kWriters || e.key_hash % 1000 >= kKeys || it->second != w ||
+                e.phase_sum_ns != e.dur_ns) {
+                ++torn;
+            }
+        }
+        ++exports;
+    } while (running.load(std::memory_order_acquire) > 0 || exports < 2);
+    for (auto& t : writers) t.join();
+    EXPECT_GT(seen, 0u);
+    EXPECT_EQ(torn, 0u) << "of " << seen << " events over " << exports << " exports";
+    EXPECT_LE(parse_events(chrome_trace_json()).size(), prof::slow_op_ring::capacity);
 }
 
 // ------------------------------------- policy health gauges, typed matrix

@@ -12,9 +12,11 @@
 // Telemetry: a once-per-second ticker prints live throughput and the
 // reclamation health gauges (retired backlog per policy, free-list
 // depth); set LFLL_TELEMETRY=jsonl:<path> to also stream registry
-// snapshots for `tools/lfll_top`, and build with -DLFLL_TRACE=ON to get
-// a Chrome/Perfetto trace of the final window (LFLL_TRACE_OUT, default
-// soak_trace.json) on exit.
+// snapshots for `tools/lfll_top`, and LFLL_TRACE_OUT=<path> to write a
+// Chrome/Perfetto trace of the profiler's event ring on exit. For a
+// trace of every op (the ring keeps the latest 4096):
+//
+//     LFLL_PROFILE_RATE=1 LFLL_SLOW_OP_NS=0 LFLL_TRACE_OUT=trace.json ./build/tools/soak 3
 //
 // Exit code 0 = every round verified; nonzero = invariant violation
 // (details on stderr).
@@ -25,6 +27,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "lfll/baseline/harris_michael_list.hpp"
@@ -53,10 +56,12 @@ void fail(const char* what) {
     ++failures;
 }
 
-/// Ledger-verified mixed run against any set-like structure.
-template <typename Insert, typename Erase, typename Contains>
+/// Ledger-verified mixed run against any set-like structure. A `side`
+/// step, when given, runs on the same worker after every op.
+template <typename Insert, typename Erase, typename Contains, typename Side = std::nullptr_t>
 void ledger_round(std::uint64_t seed, const round_config& cfg, Insert&& ins, Erase&& ers,
-                  Contains&& has) {
+                  Contains&& has, Side&& side = nullptr) {
+    constexpr bool has_side = !std::is_null_pointer_v<std::remove_cvref_t<Side>>;
     std::vector<std::vector<long>> insc(cfg.threads, std::vector<long>(cfg.keys, 0));
     std::vector<std::vector<long>> delc(cfg.threads, std::vector<long>(cfg.keys, 0));
     std::atomic<bool> go{false};
@@ -79,8 +84,9 @@ void ledger_round(std::uint64_t seed, const round_config& cfg, Insert&& ins, Era
                         (void)has(k);
                         break;
                 }
+                if constexpr (has_side) side(rng);
             }
-            soak_ops.fetch_add(static_cast<std::uint64_t>(cfg.ops_per_thread),
+            soak_ops.fetch_add(static_cast<std::uint64_t>(cfg.ops_per_thread) * (has_side ? 2 : 1),
                                std::memory_order_relaxed);
         });
     }
@@ -97,13 +103,33 @@ void ledger_round(std::uint64_t seed, const round_config& cfg, Insert&& ins, Era
 /// Mixed run + quiescent audit of the sorted-list dictionary under one
 /// memory policy. Running all three per cycle keeps every policy's
 /// reclamation gauges (retired backlog, epoch lag, hazard occupancy)
-/// live in the telemetry stream.
+/// live in the telemetry stream. With `with_queue` every worker also
+/// takes one queue conservation step per map op, so the newest events
+/// in the profiler's ring (what LFLL_TRACE_OUT exports) hold both
+/// dictionary and queue ops.
 template <typename Policy>
-void dict_round(std::uint64_t seed, const round_config& cfg) {
+void dict_round(std::uint64_t seed, const round_config& cfg, bool with_queue = false) {
     sorted_list_map<int, int, std::less<int>, Policy> m(2048);
-    ledger_round(
-        seed, cfg, [&](int k) { return m.insert(k, k); },
-        [&](int k) { return m.erase(k); }, [&](int k) { return m.contains(k); });
+    const auto ins = [&](int k) { return m.insert(k, k); };
+    const auto ers = [&](int k) { return m.erase(k); };
+    const auto has = [&](int k) { return m.contains(k); };
+    if (with_queue) {
+        valois_queue<long> q(1024);
+        std::atomic<long> in{0}, out{0};
+        ledger_round(seed, cfg, ins, ers, has, [&](xorshift64& rng) {
+            if (rng.next() % 2 == 0) {
+                q.enqueue(1);
+                in.fetch_add(1);
+            } else if (q.dequeue().has_value()) {
+                out.fetch_add(1);
+            }
+        });
+        long rest = 0;
+        while (q.dequeue().has_value()) ++rest;
+        if (rest != in.load() - out.load()) fail("queue conservation");
+    } else {
+        ledger_round(seed, cfg, ins, ers, has);
+    }
     m.list().pool().drain_retired();
     auto r = audit_list(m.list());
     if (!r.ok)
@@ -114,7 +140,6 @@ void dict_round(std::uint64_t seed, const round_config& cfg) {
 void one_cycle(std::uint64_t seed, const round_config& cfg) {
     dict_round<valois_refcount>(seed, cfg);
     dict_round<hazard_policy>(seed + 5, cfg);
-    dict_round<epoch_policy>(seed + 6, cfg);
     {
         hash_map<int, int> m(32, 16);
         ledger_round(
@@ -149,31 +174,8 @@ void one_cycle(std::uint64_t seed, const round_config& cfg) {
             seed + 4, cfg, [&](int k) { return m.insert(k, k); },
             [&](int k) { return m.erase(k); }, [&](int k) { return m.contains(k); });
     }
-    // Queue conservation round.
-    {
-        valois_queue<long> q(1024);
-        std::atomic<long> in{0}, out{0};
-        std::vector<std::thread> ts;
-        for (int t = 0; t < cfg.threads; ++t) {
-            ts.emplace_back([&, t] {
-                xorshift64 rng(seed + 100 + static_cast<std::uint64_t>(t));
-                for (int i = 0; i < cfg.ops_per_thread; ++i) {
-                    if (rng.next() % 2 == 0) {
-                        q.enqueue(1);
-                        in.fetch_add(1);
-                    } else if (q.dequeue().has_value()) {
-                        out.fetch_add(1);
-                    }
-                }
-                soak_ops.fetch_add(static_cast<std::uint64_t>(cfg.ops_per_thread),
-                                   std::memory_order_relaxed);
-            });
-        }
-        for (auto& th : ts) th.join();
-        long rest = 0;
-        while (q.dequeue().has_value()) ++rest;
-        if (rest != in.load() - out.load()) fail("queue conservation");
-    }
+    // Last, so no later round's events push it out of the ring.
+    dict_round<epoch_policy>(seed + 6, cfg, /*with_queue=*/true);
 }
 
 std::int64_t gauge_value(const char* name, const char* labels = "") {
@@ -239,11 +241,9 @@ int main(int argc, char** argv) {
     done.store(true, std::memory_order_release);
     ticker.join();
     if (exporter != nullptr) exporter->stop();
-    if constexpr (telemetry::trace_enabled) {
-        const char* out = std::getenv("LFLL_TRACE_OUT");
-        const std::string path = out != nullptr ? out : "soak_trace.json";
-        telemetry::write_chrome_trace(path);
-        std::printf("soak: flight-recorder trace written to %s\n", path.c_str());
+    if (const char* out = std::getenv("LFLL_TRACE_OUT")) {
+        telemetry::write_chrome_trace(out);
+        std::printf("soak: Chrome trace of the event ring written to %s\n", out);
     }
     std::printf("soak finished: %ld cycles, %d failures, %llu ops\n", cycles.load(),
                 failures, static_cast<unsigned long long>(soak_ops.load()));
