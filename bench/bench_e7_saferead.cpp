@@ -31,6 +31,7 @@
 
 #include "bench_common.hpp"
 
+#include <cstdint>
 #include <string>
 
 #include "lfll/baseline/harris_michael_list.hpp"
@@ -100,6 +101,39 @@ void BM_ValoisPolicySeek(benchmark::State& state) {
 BENCHMARK(BM_ValoisPolicySeek<valois_refcount>)->Name("BM_ValoisSafeReadSeek");
 BENCHMARK(BM_ValoisPolicySeek<hazard_policy>)->Name("BM_ValoisHazardSeek");
 BENCHMARK(BM_ValoisPolicySeek<epoch_policy>)->Name("BM_ValoisEpochSeek");
+
+// Three threads finding in one shared map shaped like perfbench
+// ordered-scan's store: 4096 of 8192 keys, uniform, so a find walks
+// ~2k cells from First. Under counting policies every find used to
+// protect each superhop segment's end — the same ~128 count words for
+// all three threads — and now rolls its validation window instead,
+// with no RMW from First to the landing. The CI ratio gate keys on
+// refcount over epoch here. Items = finds, all threads.
+template <typename Policy>
+void BM_ValoisPolicySharedFind(benchmark::State& state) {
+    using map_t = sorted_list_map<std::uint64_t, std::uint64_t, std::less<std::uint64_t>, Policy>;
+    static map_t* m = [] {
+        auto* map = new map_t(8192);
+        xorshift64 rng(0x5CA9ULL);
+        for (int n = 0; n < 4096;) {
+            if (map->insert(rng.next_below(8192), 1)) ++n;
+        }
+        return map;
+    }();
+    xorshift64 rng(0xF1D0ULL + static_cast<std::uint64_t>(state.thread_index()));
+    std::uint64_t hits = 0;
+    for (auto _ : state) {
+        hits += m->find(rng.next_below(8192)).has_value();
+    }
+    benchmark::DoNotOptimize(hits);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ValoisPolicySharedFind<valois_refcount>)
+    ->Name("BM_ValoisSafeReadSharedFind")->Threads(3)->UseRealTime();
+BENCHMARK(BM_ValoisPolicySharedFind<hazard_policy>)
+    ->Name("BM_ValoisHazardSharedFind")->Threads(3)->UseRealTime();
+BENCHMARK(BM_ValoisPolicySharedFind<epoch_policy>)
+    ->Name("BM_ValoisEpochSharedFind")->Threads(3)->UseRealTime();
 
 // map.for_each — the dictionary-level whole-map visit. Historically this
 // walked the cursor per cell (one SafeRead + Release per hop) even

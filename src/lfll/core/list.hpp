@@ -49,19 +49,25 @@
 //     any snapshot is surfaced (batch_hop below). Any mismatch discards
 //     the batch and falls back to the per-cell hop. Each scan ramps its
 //     segment cap 2, 4, 8, then kScanBatch, so a short scan does not
-//     read far past the cell where its visitor stops.
+//     read far past the cell where its visitor stops. A steered walk
+//     (lookup, seek, a scan's skip prefix) protects no full segment's
+//     end: it rolls the validation window on, carrying the segment's
+//     last cell and aux into the next segment's sweep (roll_window).
+//     If a rolled window fails, the walk upgrades the carried cell
+//     (try_ref plus incarnation re-check) or, failing that, goes on
+//     from its last live position with one protect per segment.
 //  5. Read-only seeks, referenced landings. A mutator seek (seek_while)
 //     runs the predicate on each validated payload copy, so its segment
 //     ends AT the landing cell, and it takes references only on the
 //     triple the Figs. 9-10 CASes go through: target is the segment
 //     end's protect, and an interior pre_cell is upgraded with try_ref
-//     and a re-sweep of the WHOLE snapshot, which proves the reference
+//     and a re-sweep of the WHOLE window, which proves the reference
 //     attached to the node the snapshot read. next() is the same seek,
 //     one cell long.
 //  6. Read-only landing (lookup_from): a point lookup's superhop ends
 //     at its landing cell like a seek's but takes no reference there;
-//     from a borrowed start, a lookup landing inside its first segment
-//     does no RMW at all.
+//     with the rolling window, a lookup from a borrowed start does no
+//     RMW at all, however many segments it crosses.
 //
 // Mutators never trust the hint: try_insert/try_delete re-pin the
 // CURRENT aux via protect(pre_cell->next) — the swing's
@@ -548,6 +554,19 @@ public:
         walk<walk_mode::scan>(start, std::forward<Visit>(visit));
     }
 
+    /// As scan_from, but the cells from the front for which the pure
+    /// `skip(value)` holds are crossed unvisited, read-only, as a lookup
+    /// crosses them (it may run on snapshot copies, more than once per
+    /// cell). The walk lands on the first cell that fails it with one
+    /// counted reference, and `visit` sees that cell and the rest as in
+    /// scan_from. The range-query layer steers to its lower bound so.
+    template <typename Skip, typename Visit>
+    void scan_from(node* start, Skip&& skip, Visit&& visit) {
+        assert(start != nullptr && start->is_normal());
+        guard g = pool_->make_guard();
+        walk<walk_mode::scan>(start, std::forward<Visit>(visit), skip);
+    }
+
     /// Read-only point lookup from `start` (borrowed, as in scan_from):
     /// walks while the pure `keep_going(value)` holds and calls
     ///   land(const T&, uint64_t born_ts, uint64_t dead_ts)
@@ -589,7 +608,9 @@ private:
     /// The one traversal engine. `start` is live for the whole call: a
     /// borrowed node, or (seek) the cursor's pre_cell. Later positions
     /// hold one traversal reference each; a read-only landing holds none.
-    ///   * scan: `visit` sees each cell until it returns false.
+    ///   * scan: `visit` sees each cell until it returns false. With a
+    ///     pure `keep_going` (scan_from's `skip`), the cells it passes
+    ///     are crossed unvisited first, as a lookup crosses them.
     ///   * lookup: the pure `keep_going` steers the superhop and `visit`
     ///     (lookup_from's `land`) sees only the landing.
     ///   * seek: `visit` is the cursor, unpositioned at start ==
@@ -597,39 +618,63 @@ private:
     ///     pre_cell; the walk ends with target on the first that fails
     ///     it (or Last) and pre_aux the aux before. `cap` limits the
     ///     first superhop segment (next() passes 1).
+    /// A steered walk rolls its validation window across full segments
+    /// (batch_hop) instead of protecting each segment end, so p stays
+    /// at the last live position while the window runs ahead of it. A
+    /// window that fails after rolling moves p up to its carried cell
+    /// (upgrade), or else stops rolling: the walk goes on from p as
+    /// before, one protect per segment. Nothing is surfaced from a
+    /// window before its landing, so neither is visible to the caller.
     /// The caller's guard spans the call.
     template <walk_mode M, typename Visit, typename Pred = std::nullptr_t,
               typename Clock = std::nullptr_t>
     void walk(node* start, Visit&& visit, Pred&& keep_going = nullptr,
-              Clock&& clock = nullptr, int cap = M == walk_mode::scan ? 2 : kScanBatch) {
+              Clock&& clock = nullptr,
+              int cap = std::is_null_pointer_v<std::remove_cvref_t<Pred>> ? 2 : kScanBatch) {
         constexpr bool scan = M == walk_mode::scan;
         constexpr bool seek = M == walk_mode::seek;
+        constexpr bool steered = !std::is_null_pointer_v<std::remove_cvref_t<Pred>>;
         auto& ctr = instrument::tls();
         node* p = start;
         node* held = nullptr;  // p, once a hop has landed a reference on it (not seek)
+        bool steering = steered;         // a scan's skip prefix ends at its landing
+        bool roll = steered && cap > 1;  // next() lands on the first cell: no window
         for (;;) {
             node* n = nullptr;
             node* aux = nullptr;  // seek: the aux before n, the landing's hint
             // Batched hop: cross up to `cap` cells on at most ONE protect
             // by snapshotting payloads seqlock-style and validating the
-            // whole segment with an incarnation sweep. Crossed cells are
+            // whole segment with an incarnation sweep (a steered walk
+            // rolls on past full segments with none). Crossed cells are
             // visited from the validated copies; a protected segment end
             // is handled below like any single-step arrival.
             if constexpr (pool_type::counts_traversal && batch_scannable) {
                 batch_snapshot s;
-                n = batch_hop<M == walk_mode::lookup>(p, s, cap, keep_going);
+                if constexpr (steered) {
+                    constexpr bool read_only = M == walk_mode::lookup;
+                    if (steering) n = batch_hop<read_only>(p, s, cap, keep_going, roll);
+                }
+                if (!steering) n = batch_hop(p, s, cap);
                 cap = cap < kScanBatch ? 2 * cap : kScanBatch;  // a scan ramps 2, 4, 8, 16
+                const auto rolled = static_cast<std::uint64_t>(s.rolled);
+                ctr.traverse_hops += rolled;
+                ctr.traverse_fast_hops += rolled;
+                ctr.cells_traversed += rolled;
                 bool done = false;
                 if (n != nullptr) {
                     const auto crossed = static_cast<std::uint64_t>(s.cells) + 1;
                     ctr.traverse_hops += crossed;
                     ctr.traverse_fast_hops += crossed;
                     if constexpr (scan) {
-                        for (int i = 0; i < s.cells && !done; ++i) {
-                            ctr.cells_traversed++;
-                            done = !visit_cell(visit, s.value(i), s.born[i], s.dead[i]);
+                        if (steering) {  // skipped, unvisited; n arrives below
+                            ctr.cells_traversed += static_cast<std::uint64_t>(s.cells);
+                        } else {
+                            for (int i = 0; i < s.cells && !done; ++i) {
+                                ctr.cells_traversed++;
+                                done = !visit_cell(visit, s.value(i), s.born[i], s.dead[i]);
+                            }
+                            if (done) pool_->drop(n);
                         }
-                        if (done) pool_->drop(n);
                     } else if constexpr (seek) {
                         ctr.cells_traversed += static_cast<std::uint64_t>(s.cells) + n->is_cell();
                         // A full segment, or an end that changed since its
@@ -658,6 +703,22 @@ private:
                     return;
                 }
                 if (n == nullptr) ctr.batch_fallbacks++;
+                if constexpr (steered) {
+                    // The window had rolled past p: take the carried cell
+                    // as the new live position, or stop rolling.
+                    node* c = n == nullptr && s.rolled > 0 ? const_cast<node*>(s.src[0]) : nullptr;
+                    if (upgrade(c, s.inc[0])) {
+                        if constexpr (seek) {
+                            visit.hold_pre(c);
+                        } else {
+                            pool_->drop(held);
+                            held = c;
+                        }
+                        p = c;
+                    } else if (c != nullptr) {
+                        roll = false;
+                    }
+                }
             }
             if (n == nullptr) {
                 ctr.traverse_hops++;
@@ -702,6 +763,12 @@ private:
                 const T& v = n->value();
                 if constexpr (!scan) {
                     if (keep_going(v)) continue;
+                } else if constexpr (steered) {
+                    if (steering) {
+                        if (keep_going(v)) continue;
+                        steering = false;
+                        cap = 2;  // the visited scan ramps from here
+                    }
                 }
                 // n is protected: its stamps are reads of live memory, no
                 // seqlock dance needed.
@@ -810,11 +877,12 @@ private:
     /// copies seqlock-style (list_node::seqlock_payload).
     static constexpr bool batch_scannable = node::seqlock_payload;
 
-    /// Most cells one batched hop crosses per protect (scan and seek).
-    /// Chosen so the validation arrays stay comfortably on the stack
-    /// while the one RMW amortizes to noise. Raised from 8 when seeks
-    /// joined the batch path (E7 seek row ~1.49x -> ~1.35-1.45x epoch);
-    /// 32 measured no better.
+    /// Most cells one batched hop crosses per protect (scans), or per
+    /// sweep (steered walks, which roll on past a full segment with no
+    /// protect at all). Chosen so the validation arrays stay comfortably
+    /// on the stack while the one RMW amortizes to noise. Raised from 8
+    /// when seeks joined the batch path (E7 seek row ~1.49x ->
+    /// ~1.35-1.45x epoch); 32 measured no better.
     ///
     /// Where a segment ends matters more: each cell it crosses is a
     /// dependent read of the cell and the aux after it, a cache miss on
@@ -831,8 +899,11 @@ private:
     /// of the cells crossed. Nothing here is surfaced until the whole
     /// set validates.
     struct batch_snapshot {
-        const node* src[2 * kScanBatch];
-        std::uint64_t inc[2 * kScanBatch];
+        /// Two records per crossed cell, the first aux and the landing
+        /// cell, or, after a roll, the two carried records instead of the
+        /// first aux.
+        const node* src[2 * kScanBatch + 2];
+        std::uint64_t inc[2 * kScanBatch + 2];
         int nsrc = 0;
         alignas(T) unsigned char vals[kScanBatch][sizeof(T)];
         /// Version stamps captured inside the same incarnation window as
@@ -843,6 +914,11 @@ private:
         /// Set by a read-only landing: the segment end holds no reference,
         /// and vals[cells] (with its stamps) is the landing cell's copy.
         bool landed = false;
+        /// Cells crossed in the full segments the window rolled past.
+        /// While it is nonzero, src[0] is the last cell of the last such
+        /// segment and src[1] the aux after it, both at their first-touch
+        /// incarnations (roll_window).
+        int rolled = 0;
 
         void record(const node* n, std::uint64_t i) noexcept {
             src[nsrc] = n;
@@ -902,15 +978,27 @@ private:
     /// `ReadOnly` (lookups) that landing, or Last, takes no protect:
     /// batch_close seals it, and the landing copy is the result.
     ///
+    /// With `roll` (steered walks), a full segment's end is not protected
+    /// either: roll_window sweeps the segment and carries its last cell
+    /// and last aux into the next segment's set, and the walk reads on
+    /// from that aux. The next sweep re-checks both, so the induction
+    /// above runs unbroken from `from` to the landing across every
+    /// segment: each node stays proven unreclaimed from its first touch
+    /// until after the touch of its successor. A lookup then does no
+    /// RMW from `from` to its landing.
+    ///
     /// On any mismatch the speculative reference is dropped (blind
     /// net-zero pair: always safe on pool nodes) and nullptr is returned;
-    /// the caller falls back to the per-cell hop. Otherwise returns the
-    /// segment-end node (a cell or Last; protected unless s.landed) and
-    /// fills `s` with the validated snapshots of the cells crossed.
+    /// the caller falls back to the per-cell hop (after a roll, from the
+    /// carried cell: see walk). Otherwise returns the segment-end node (a
+    /// cell or Last; protected unless s.landed) and fills `s` with the
+    /// validated snapshots of the cells crossed since the last roll.
     template <bool ReadOnly = false, typename Pred = std::nullptr_t>
-    node* batch_hop(node* from, batch_snapshot& s, int cap, Pred&& keep_going = nullptr) {
+    node* batch_hop(node* from, batch_snapshot& s, int cap, Pred&& keep_going = nullptr,
+                    bool roll = false) {
         constexpr bool seek = !std::is_null_pointer_v<std::remove_cvref_t<Pred>>;
         static_assert(seek || !ReadOnly, "a read-only landing is picked by a predicate");
+        assert(!roll || (seek && cap > 1));
         node* a;  // the aux whose next is read through next
         if (from->is_aux()) {
             a = from;  // live: no incarnation record needed
@@ -978,7 +1066,49 @@ private:
             ++s.cells;
             s.record(a2, ia);
             a = a2;
+            if (roll && s.cells == cap - 1 && !roll_window(s)) return nullptr;  // segment full
         }
+    }
+
+    /// Rolls the window past a full segment instead of protecting its
+    /// end: the fence and sweep validate the segment (the predicate has
+    /// passed each copy), then its last cell and the aux after it carry
+    /// into the next segment's set at their first-touch incarnations.
+    /// The aux is read through next, so only the next sweep can prove it
+    /// was not recycled in between; the cell is what walk upgrades if
+    /// that sweep fails. False, with the previous carry kept, if the
+    /// segment fails its sweep.
+    bool roll_window(batch_snapshot& s) {
+        testing_hooks::chaos_point(sched::step_kind::batch_seek);  // segment -> sweep
+        std::atomic_thread_fence(std::memory_order_acquire);
+        if (!sweep(s)) return false;
+        s.rolled += s.cells;
+        s.src[0] = s.src[s.nsrc - 2];
+        s.inc[0] = s.inc[s.nsrc - 2];
+        s.src[1] = s.src[s.nsrc - 1];
+        s.inc[1] = s.inc[s.nsrc - 1];
+        s.nsrc = 2;
+        s.cells = 0;
+        // Sweep -> the carried aux's next load: only the carried records
+        // catch a recycle here.
+        testing_hooks::chaos_point(sched::step_kind::batch_seek);
+        return true;
+    }
+
+    /// Takes a counted reference on `n`, read unreferenced at incarnation
+    /// `inc`, if it is still that node: try_ref, then the incarnation
+    /// re-check that ties the reference to the node the walk read (the
+    /// count blocks any later reclaim). A full unref undoes a mismatch;
+    /// a null `n` (no window to upgrade) is refused.
+    bool upgrade(node* n, std::uint64_t inc) {
+        if (n == nullptr) return false;
+        testing_hooks::chaos_point(sched::step_kind::batch_seek);
+        if (!pool_->try_ref(n)) return false;
+        if (n->incarnation.load(std::memory_order_acquire) != inc) {
+            pool_->unref(n);  // full unref: the node may be dying
+            return false;
+        }
+        return true;
     }
 
     /// Protect the segment-end link and run the incarnation sweep.
@@ -1021,12 +1151,7 @@ private:
         std::uint64_t born = s.born[s.cells];
         const std::uint64_t dead = s.dead[s.cells];
         if (born == 0 && dead == rq::kInfTs) {
-            testing_hooks::chaos_point(sched::step_kind::batch_seek);
-            if (!pool_->try_ref(n)) return false;
-            if (n->incarnation.load(std::memory_order_acquire) != s.inc[s.nsrc - 1]) {
-                pool_->unref(n);  // full unref: the node may be dying
-                return false;
-            }
+            if (!upgrade(n, s.inc[s.nsrc - 1])) return false;
             born = rq::stamp_born(n->born_ts, clock());
             pool_->unref(n);
         }
@@ -1036,7 +1161,7 @@ private:
 
     /// A seek's landing on `n`, the protected end of segment `s` walked
     /// from c's pre_cell: lands c on (pre, aux, n), pre being the last
-    /// cell crossed, or pre_cell itself when the segment crossed none.
+    /// cell crossed, or pre_cell itself when the walk crossed none.
     /// An interior pre is upgraded to a counted reference with try_ref
     /// on the SNAPSHOTTED pointer, so the WHOLE snapshot is re-swept
     /// after it: unchanged incarnations prove no snapshotted node was
@@ -1044,12 +1169,14 @@ private:
     /// the snapshot read (not a same-address recycle) and the triple is
     /// exactly what a hand-over-hand walk would have produced. With p =
     /// pre_cell a cell, the snapshot is laid out
-    ///   src[0]    = the aux after p,
-    ///   src[2i+1] = crossed cell i,  src[2i+2] = the aux after it.
+    ///   src[0]    = the aux after p (after a roll: the carried cell,
+    ///               then the carried aux, shifting the rest by one),
+    ///   src[2i+1] = crossed cell i,  src[2i+2] = the aux after it,
+    /// so pre and aux are always its last two records.
     /// On failure undoes its references (n's too) and returns false.
     bool land_seek(cursor& c, node* n, const batch_snapshot& s) {
-        if (s.cells > 0) {
-            node* pre = const_cast<node*>(s.src[2 * s.cells - 1]);
+        if (s.nsrc >= 2) {
+            node* pre = const_cast<node*>(s.src[s.nsrc - 2]);
             testing_hooks::chaos_point(sched::step_kind::batch_seek);
             if (!pool_->try_ref(pre)) {
                 pool_->drop(n);
@@ -1064,7 +1191,7 @@ private:
             }
             c.hold_pre(pre);
         }
-        c.pre_aux_ = const_cast<node*>(s.src[2 * s.cells]);
+        c.pre_aux_ = const_cast<node*>(s.src[s.nsrc - 1]);
         c.target_ = n;
         return true;
     }

@@ -28,10 +28,11 @@
 //     cell, so a live incarnation precedes any tombstones of the same
 //     key and point reads can stop at the first key match.
 //
-// A range query draws one timestamp (its linearization point), rides the
-// ordinary batched snapshot_scan — stamps are captured inside the same
-// incarnation-validated window as the payload — and merges the victim
-// hand-offs at the end.
+// A range query draws one timestamp (its linearization point), walks
+// read-only to its lower bound (the lookups' rolling window), rides the
+// ordinary batched stamped scan from there — stamps are captured inside
+// the same incarnation-validated window as the payload — and merges the
+// victim hand-offs at the end.
 #pragma once
 
 #include <algorithm>
@@ -69,8 +70,8 @@ public:
         : list_(initial_capacity), cmp_(cmp) {}
 
     /// Shared/configured-pool constructor (mirrors valois_list's): the
-    /// caller owns the pool and may tune it via pool_config — tests pin
-    /// the SafeRead-cache knobs this way. The pool must outlive the map.
+    /// caller owns the pool and may tune it via pool_config. The pool
+    /// must outlive the map.
     explicit sorted_list_map(typename list_type::pool_type& shared_pool,
                              Compare cmp = Compare{})
         : list_(shared_pool), cmp_(cmp) {}
@@ -443,15 +444,18 @@ private:
     std::vector<std::pair<Key, Value>> collect(Skip skip, Stop stop) {
         const auto tk = rq_.begin();
         std::vector<std::pair<Key, Value>> out;
-        list_.snapshot_scan([&](const value_type& v, std::uint64_t born,
-                                std::uint64_t dead) {
-            if (skip(v.first)) return true;
-            if (stop(v.first)) return false;  // sorted: stop
-            if (born != 0 && born <= tk.t && tk.t < dead) {
-                out.emplace_back(v.first, v.second);
-            }
-            return true;
-        });
+        // skip's prefix is crossed read-only (valois_list::scan_from);
+        // in split order it also filters cells further on.
+        list_.scan_from(
+            list_.head(), [&](const value_type& v) { return skip(v.first); },
+            [&](const value_type& v, std::uint64_t born, std::uint64_t dead) {
+                if (skip(v.first)) return true;
+                if (stop(v.first)) return false;  // sorted: stop
+                if (born != 0 && born <= tk.t && tk.t < dead) {
+                    out.emplace_back(v.first, v.second);
+                }
+                return true;
+            });
         bool merged = false;
         rq_.end(tk, [&](const rq_victim& v) {
             if (skip(v.key) || stop(v.key)) return;

@@ -146,8 +146,13 @@ void append_slow_ops_jsonl(std::string& out, std::uint64_t& cursor) {
         "free_list_depth_refcount",
         "epoch_lag",
     };
+    constexpr std::uint64_t cap = jsonl_slow_ops_per_tick;
+    const std::uint64_t head = slow_ring().head();
+    if (head > cursor + cap) cursor = head - cap;  // skip what the cap drops
     std::vector<slow_op_record> recs;
     cursor = slow_ring().collect(cursor, recs);
+    // Writers may have landed more since the head load: keep the newest.
+    if (recs.size() > cap) recs.erase(recs.begin(), recs.end() - static_cast<std::ptrdiff_t>(cap));
     char buf[192];
     for (const slow_op_record& r : recs) {
         std::snprintf(buf, sizeof buf,

@@ -475,8 +475,14 @@ inline void note_shard(std::int64_t shard) noexcept {
 /// every exporter tick; cheap enough to call from tests/benches too.
 void publish();
 
-/// Append (as jsonl lines) every slow-op record captured since `*cursor`
-/// and advance the cursor; used by the jsonl exporter so the slow-op log
+/// Most slow-op lines one append_slow_ops_jsonl call writes: the newest
+/// of the records captured since the cursor. The full event record is
+/// the Chrome trace export (write_chrome_trace), not the jsonl stream.
+inline constexpr std::uint64_t jsonl_slow_ops_per_tick = 64;
+
+/// Append (as jsonl lines) the slow-op records captured since `*cursor`,
+/// at most the newest jsonl_slow_ops_per_tick of them, and advance the
+/// cursor past all; used by the jsonl exporter so the slow-op log
 /// interleaves with metric snapshots in one stream. lfll_top skips these
 /// lines; tools/lfll_prof renders them.
 void append_slow_ops_jsonl(std::string& out, std::uint64_t& cursor);

@@ -18,6 +18,10 @@
 //   * link load -> incarnation load (seeks and lookups): a node unlinked
 //     and recycled between the load of the link that names it and the
 //     load of its incarnation must be caught by the link re-read.
+//   * the rolling window (lookups, seeks, range-query prefixes): a walk
+//     that crosses a full segment carries its last aux, unreferenced,
+//     into the next segment's sweep; an aux recycled between the two
+//     sweeps must be caught by the carried record.
 //
 // Pinned seeds replay fixed schedules through the deterministic
 // scheduler — replay any one with LFLL_SCHED_REPLAY=<seed>. Under
@@ -322,6 +326,147 @@ std::uint64_t run_borrowed_write_window(std::uint64_t seed, int own, int churned
     return fallbacks;
 }
 
+/// The walk a rolling-window schedule drives.
+enum class roll_walk { lookup, seek, range };
+
+/// Rolling-window recycle: a walk from First crosses keys 0..14 in its
+/// first full segment and, instead of protecting the segment's end,
+/// rolls its validation window at the aux after 14, carrying that aux
+/// (and cell 14) into the next segment's sweep. The churner erases 15,
+/// which unlinks and recycles exactly that aux, and inserts a key past
+/// the stable range, which takes the recycled aux for its own: linked
+/// at the end of the list, it leads to Last. A walk that read on
+/// through it would land past every stable key 16..23; the carried
+/// record makes the next sweep catch the recycle, and the walk goes on
+/// from the carried cell. Every read of a stable key must find it.
+/// Returns the reader's superhop fallbacks.
+template <typename Policy>
+std::uint64_t run_rolling_window(std::uint64_t seed, roll_walk walk) {
+    using map_t = sorted_list_map<int, int, std::less<int>, Policy>;
+    pool_config cfg;
+    cfg.initial_capacity = 56;  // erased nodes come straight back
+    typename map_t::list_type::pool_type pool(cfg);
+    map_t map(pool);
+    for (int k = 0; k < 24; ++k) map.insert(k, 100 + k);
+    std::uint64_t fallbacks = 0;
+    std::vector<std::function<void()>> bodies;
+    bodies.push_back([&map, &fallbacks, walk] {
+        auto& ctr = instrument::tls();
+        const std::uint64_t before = ctr.batch_fallbacks.load();
+        for (int round = 0; round < 2; ++round) {
+            for (int k = 16; k < 24; k += 3) {
+                if (walk == roll_walk::range) {
+                    const auto got = map.range_query(k, k + 2);
+                    ASSERT_EQ(got.size(), 2u) << "range [" << k << ", " << k + 2 << ")";
+                    EXPECT_EQ(got[0], std::make_pair(k, 100 + k));
+                    EXPECT_EQ(got[1], std::make_pair(k + 1, 101 + k));
+                } else if (walk == roll_walk::lookup) {
+                    EXPECT_EQ(map.find(k), std::optional<int>(100 + k)) << "stable key " << k;
+                } else {  // a write's seek: anchored at First, as insert and erase are
+                    typename map_t::cursor c;
+                    map.list().anchor(c, map.list().head());
+                    ASSERT_TRUE(map.find_from(k, c)) << "stable key " << k;
+                    EXPECT_EQ((*c).second, 100 + k);
+                    ASSERT_TRUE(c.pre_cell()->is_cell());
+                    EXPECT_LT(c.pre_cell()->value().first, k);  // 15 may be erased
+                    EXPECT_GE(c.pre_cell()->value().first, k - 2);
+                }
+            }
+        }
+        fallbacks = ctr.batch_fallbacks.load() - before;
+    });
+    bodies.push_back([&map] {  // churner: recycle the carried aux
+        for (int i = 0; i < 3; ++i) {
+            EXPECT_TRUE(map.erase(15));
+            EXPECT_TRUE(map.insert(40 + i, 0));
+            EXPECT_TRUE(map.insert(15, 115));
+            EXPECT_TRUE(map.erase(40 + i));
+        }
+    });
+    sched::options o = pinned(seed);
+    o.change_points = 6;
+    o.change_horizon = 1024;
+    sched::run(o, std::move(bodies));
+    if constexpr (map_t::list_type::pool_type::counts_traversal) {
+        EXPECT_GT(sched::scheduler::instance().kind_count(sched::step_kind::batch_seek),
+                  0u)
+            << "seed " << seed;
+    } else {
+        EXPECT_EQ(sched::scheduler::instance().kind_count(sched::step_kind::batch_seek),
+                  0u);
+        EXPECT_EQ(fallbacks, 0u);
+    }
+    for (int k = 0; k < 24; ++k) {
+        EXPECT_EQ(map.find(k), std::optional<int>(100 + k)) << "key " << k << ", seed " << seed;
+    }
+    auto r = quiesce_and_audit(map);
+    EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
+                      << " — replay with LFLL_SCHED_REPLAY=" << seed;
+    return fallbacks;
+}
+
+/// touch's link re-read: a lookup has loaded the link naming cell 0
+/// (First's aux -> 0) and not yet its incarnation when the churner
+/// erases 0 and inserts a key past the stable range, which takes the
+/// recycled cell. A third thread, positioning cursors at First, holds
+/// First's old aux through its reposition hop, so that aux keeps its
+/// incarnation across the recycle and the closing sweep passes: only
+/// the re-read, which finds the aux no longer naming the cell, stops
+/// the lookup from landing on the reused cell (a key past every stable
+/// one) and reporting a stable key absent. Returns the reader's
+/// superhop fallbacks.
+template <typename Policy>
+std::uint64_t run_touch_reread_window(std::uint64_t seed) {
+    using map_t = sorted_list_map<int, int, std::less<int>, Policy>;
+    pool_config cfg;
+    cfg.initial_capacity = 24;  // erased nodes come straight back
+    typename map_t::list_type::pool_type pool(cfg);
+    map_t map(pool);
+    for (int k = 0; k < 8; ++k) map.insert(k, 100 + k);
+    std::uint64_t fallbacks = 0;
+    std::vector<std::function<void()>> bodies;
+    bodies.push_back([&map, &fallbacks] {
+        auto& ctr = instrument::tls();
+        const std::uint64_t before = ctr.batch_fallbacks.load();
+        for (int round = 0; round < 3; ++round) {
+            for (int k = 1; k < 8; k += 2) {
+                EXPECT_EQ(map.find(k), std::optional<int>(100 + k)) << "stable key " << k;
+            }
+        }
+        fallbacks = ctr.batch_fallbacks.load() - before;
+    });
+    bodies.push_back([&map] {  // churner: recycle the first cell
+        for (int i = 0; i < 3; ++i) {
+            EXPECT_TRUE(map.erase(0));
+            EXPECT_TRUE(map.insert(40 + i, 0));
+            EXPECT_TRUE(map.insert(0, 100));
+            EXPECT_TRUE(map.erase(40 + i));
+        }
+    });
+    bodies.push_back([&map] {  // holder: reposition hops through First's aux
+        for (int i = 0; i < 12; ++i) {
+            typename map_t::cursor c(map.list());
+            EXPECT_FALSE(c.at_end());
+        }
+    });
+    sched::options o = pinned(seed);
+    o.change_points = 6;
+    o.change_horizon = 512;
+    sched::run(o, std::move(bodies));
+    if constexpr (!map_t::list_type::pool_type::counts_traversal) {
+        EXPECT_EQ(sched::scheduler::instance().kind_count(sched::step_kind::batch_seek),
+                  0u);
+        EXPECT_EQ(fallbacks, 0u);
+    }
+    for (int k = 0; k < 8; ++k) {
+        EXPECT_EQ(map.find(k), std::optional<int>(100 + k)) << "key " << k << ", seed " << seed;
+    }
+    auto r = quiesce_and_audit(map);
+    EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
+                      << " — replay with LFLL_SCHED_REPLAY=" << seed;
+    return fallbacks;
+}
+
 TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_Refcount) {
     for (std::uint64_t seed : {3ull, 8ull, 17ull, 29ull, 41ull, 56ull}) {
         run_handoff_window<valois_refcount>(seed);
@@ -474,8 +619,9 @@ TEST(MutatorSeekSched, PinnedSeed_LinkLoadRecycle_EpochCompilesOut) {
 // The same window swept, not pinned, under all three policies: a seed
 // in which the aux before a recycled cell stays at its incarnation
 // passes the closing sweep, and only the link re-read rejects the walk.
-// No seed here is known to reach that case (another thread must hold
-// the aux across the recycle); the sweep keeps the window covered.
+// No seed here reaches that case (another thread must hold the aux
+// across the recycle: see TouchReread); the sweep keeps the window
+// covered.
 template <typename Policy>
 void sweep_link_load_recycle() {
     for (std::uint64_t seed = 1; seed <= 400; ++seed) {
@@ -491,6 +637,95 @@ TEST(MutatorSeekSched, LinkLoadRecycleSweep_AllPolicies) {
     sweep_link_load_recycle<valois_refcount>();
     sweep_link_load_recycle<hazard_policy>();
     sweep_link_load_recycle<epoch_policy>();
+}
+
+// The rolling-window seeds were picked on a copy whose roll left the
+// carried records out of the next sweep: every seed below failed there
+// (a stable key read absent, or a seek landing past it) and passes
+// here, where the carried aux's recycle makes the walk fall back.
+TEST(MutatorSeekSched, PinnedSeed_RollingWindowLookup_Refcount) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {5ull, 99ull, 231ull, 499ull, 679ull}) {
+        fallbacks += run_rolling_window<valois_refcount>(seed, roll_walk::lookup);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule recycled the carried aux";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_RollingWindowLookup_Hazard) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {983ull, 1215ull, 1299ull, 1341ull}) {
+        fallbacks += run_rolling_window<hazard_policy>(seed, roll_walk::lookup);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule recycled the carried aux";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_RollingWindowLookup_EpochCompilesOut) {
+    for (std::uint64_t seed : {5ull, 99ull}) {
+        run_rolling_window<epoch_policy>(seed, roll_walk::lookup);
+    }
+}
+
+TEST(MutatorSeekSched, PinnedSeed_RollingWindowSeek_Refcount) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {499ull, 685ull, 931ull, 1077ull, 1103ull}) {
+        fallbacks += run_rolling_window<valois_refcount>(seed, roll_walk::seek);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule recycled the carried aux";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_RollingWindowSeek_Hazard) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {931ull, 1077ull, 1457ull}) {
+        fallbacks += run_rolling_window<hazard_policy>(seed, roll_walk::seek);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule recycled the carried aux";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_RollingWindowSeek_EpochCompilesOut) {
+    for (std::uint64_t seed : {499ull, 931ull}) {
+        run_rolling_window<epoch_policy>(seed, roll_walk::seek);
+    }
+}
+
+TEST(MutatorSeekSched, PinnedSeed_RollingWindowRangePrefix_Refcount) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {125ull, 279ull, 303ull, 503ull, 669ull}) {
+        fallbacks += run_rolling_window<valois_refcount>(seed, roll_walk::range);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule recycled the carried aux";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_RollingWindowRangePrefix_Hazard) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {1077ull, 1245ull, 1345ull}) {
+        fallbacks += run_rolling_window<hazard_policy>(seed, roll_walk::range);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule recycled the carried aux";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_RollingWindowRangePrefix_EpochCompilesOut) {
+    for (std::uint64_t seed : {125ull, 1077ull}) {
+        run_rolling_window<epoch_policy>(seed, roll_walk::range);
+    }
+}
+
+// The touch seeds were picked on a copy whose touch skipped the link
+// re-read (returned true right after the incarnation load): each failed
+// there with a stable key read absent, and passes here. They hold First's
+// aux through the holder's reposition hop; no hazard-policy seed in
+// 1..8000 reached the window.
+TEST(MutatorSeekSched, PinnedSeed_TouchReread_Refcount) {
+    std::uint64_t fallbacks = 0;
+    for (std::uint64_t seed : {1207ull, 3933ull, 4985ull, 5079ull, 6809ull}) {
+        fallbacks += run_touch_reread_window<valois_refcount>(seed);
+    }
+    EXPECT_GT(fallbacks, 0u) << "no pinned schedule made the re-read reject a walk";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_TouchReread_EpochCompilesOut) {
+    for (std::uint64_t seed : {1207ull, 3933ull}) {
+        run_touch_reread_window<epoch_policy>(seed);
+    }
 }
 
 }  // namespace

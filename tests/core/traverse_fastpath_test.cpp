@@ -19,6 +19,7 @@
 #include "lfll/core/list.hpp"
 #include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/dict/split_ordered_map.hpp"
+#include "lfll/reclaim/hazard_policy.hpp"
 #include "lfll/sched/session.hpp"
 
 namespace {
@@ -221,9 +222,10 @@ TEST(TraverseFastPath, LookupLandingTakesNoReference) {
             EXPECT_EQ(head->refct.load(), head_rc) << "find(" << k << ") touched First";
             EXPECT_EQ(cell->refct.load(), cell_rc) << "find(" << k << ") touched its landing";
         }
-        // Cell k is the (k+1)-th after First. A segment copies up to 15
-        // cells and protects the 16th, so landing on cell k crosses
-        // (k + 1) / 16 full segments.
+        // Cell k is the (k+1)-th after First; landing on it crosses
+        // (k + 1) / 16 full segments. The bound is the per-segment
+        // protect's; the rolling window protects none of them
+        // (RollingWindowProtectsOnlyTheLanding pins the exact counts).
         for (int k : {14, 15, 16, 31, 32, 47, 100, 199, 250}) {
             const auto reads0 = ctr.safe_reads.load();
             const auto found = map.find(k);
@@ -296,7 +298,8 @@ TEST(TraverseFastPath, MutatorSeekBorrowsItsStart) {
             EXPECT_EQ(head->refct.load(), head_rc) << "insert(" << k << ") touched First";
         }
         // Cell k is the (k+1)-th after First; as for lookups, landing on
-        // it crosses (k + 1) / 16 full segments.
+        // it crosses (k + 1) / 16 full segments (a loose bound since the
+        // rolling window: see RollingWindowProtectsOnlyTheLanding).
         for (int k : {14, 15, 16, 31, 32, 47, 100, 199, 250}) {
             const auto reads0 = ctr.safe_reads.load();
             if (k < 200) {
@@ -356,6 +359,49 @@ TEST(TraverseFastPath, MutatorSeekBorrowsItsStart) {
         auto r = lfll::audit_list(map.list(), external);
         EXPECT_TRUE(r.ok) << r.error;
     }
+}
+
+/// The rolling window, single-threaded so the counts are exact: a
+/// steered walk carries its validation window past each full segment
+/// instead of protecting the segment's end. A lookup protects nothing,
+/// however far it lands; a write's seek protects only its landing; a
+/// range query protects only the landing of its walk to `lo`, then scans
+/// [lo, hi) with the scan's own per-segment protects. First's count is
+/// never touched.
+template <typename Policy>
+void check_rolling_window_counts() {
+    auto& ctr = lfll::instrument::tls();
+    using map_t = lfll::sorted_list_map<int, int, std::less<int>, Policy>;
+    map_t map(256);
+    for (int k = 0; k < 200; ++k) map.insert(k, 1000 + k);
+    const auto* head = map.list().head();
+    const auto head_rc = head->refct.load();
+    for (int k : {14, 15, 16, 31, 32, 47, 100, 199, 250}) {
+        auto reads0 = ctr.safe_reads.load();
+        EXPECT_EQ(map.find(k).has_value(), k < 200);
+        EXPECT_EQ(ctr.safe_reads.load() - reads0, 0u) << "find(" << k << ")";
+        reads0 = ctr.safe_reads.load();
+        if (k < 200) {
+            EXPECT_FALSE(map.insert(k, 0));
+        } else {
+            EXPECT_FALSE(map.erase(k));
+        }
+        EXPECT_EQ(ctr.safe_reads.load() - reads0, 1u) << "seek to " << k;
+        reads0 = ctr.safe_reads.load();
+        const auto got = map.range_query(k, k + 4);
+        EXPECT_EQ(got.size(), static_cast<std::size_t>(std::clamp(200 - k, 0, 4)));
+        EXPECT_LE(ctr.safe_reads.load() - reads0, 3u) << "range_query(" << k << ")";
+        EXPECT_EQ(head->refct.load(), head_rc) << "walks to " << k << " touched First";
+    }
+    for (int k = 0; k < 200; ++k) EXPECT_EQ(map.find(k), std::optional<int>(1000 + k));
+    map.list().pool().drain_retired();
+    auto r = lfll::audit_list(map.list());
+    EXPECT_TRUE(r.ok) << r.error;
+}
+
+TEST(TraverseFastPath, RollingWindowProtectsOnlyTheLanding) {
+    check_rolling_window_counts<lfll::valois_refcount>();
+    check_rolling_window_counts<lfll::hazard_policy>();
 }
 
 }  // namespace

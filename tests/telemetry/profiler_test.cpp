@@ -10,12 +10,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "lfll/dict/sorted_list_map.hpp"
+#include "lfll/telemetry/exporter.hpp"
 #include "lfll/telemetry/profiler.hpp"
 #include "test_scale.hpp"
 
@@ -379,6 +382,38 @@ TEST(ProfilerPublish, HotKeyGaugesAndSlowOpJsonl) {
     EXPECT_NE(out.find("\"key\":777"), std::string::npos);
     EXPECT_NE(out.find("\"alloc\":"), std::string::npos);
     EXPECT_NE(out.find("\"health\""), std::string::npos);
+}
+
+// A full-trace run (LFLL_PROFILE_RATE=1 LFLL_SLOW_OP_NS=0) makes every
+// sampled op a slow capture; one jsonl exporter tick must still write at
+// most jsonl_slow_ops_per_tick of them, the newest, and the next tick
+// none of the ones it dropped.
+TEST(ProfilerPublish, JsonlTickCapsSlowOpLines) {
+    override_guard restore;
+    set_enabled_override(1);
+    set_rate_override(1);
+    set_slow_ns_override(0);
+    const std::string path = ::testing::TempDir() + "lfll_jsonl_cap_test.jsonl";
+    std::remove(path.c_str());
+    const auto slow_lines = [&path] {
+        std::ifstream in(path);
+        std::size_t n = 0;
+        for (std::string line; std::getline(in, line);) {
+            if (line.rfind("{\"slow_op\"", 0) == 0) ++n;
+        }
+        return n;
+    };
+    lfll::telemetry::periodic_exporter exp(lfll::telemetry::export_format::jsonl, path,
+                                           std::chrono::hours(1));
+    lfll::sorted_list_map<int, int> m;
+    for (int k = 0; k < 200; ++k) ASSERT_TRUE(m.insert(k, k));
+    exp.emit_once();
+    EXPECT_EQ(slow_lines(), jsonl_slow_ops_per_tick);
+    ASSERT_TRUE(m.find(7).has_value());  // one more capture
+    exp.emit_once();
+    EXPECT_EQ(slow_lines(), jsonl_slow_ops_per_tick + 1);
+    exp.stop();
+    std::remove(path.c_str());
 }
 
 }  // namespace
